@@ -322,6 +322,64 @@ func loadBaseline(path string) (map[string]string, error) {
 	return base, sc.Err()
 }
 
+// runRequest offers one planned request, follows an accepted job to a
+// terminal state, and records the outcome. rec is a named result so the
+// deferred latency stamp lands in the value the caller receives; set on
+// a local after a return, it would be lost.
+func runRequest(ctx context.Context, cl *fleet.Client, i int, p planned, wait, poll time.Duration) (rec record) {
+	rec = record{Index: i, Class: p.class, Key: p.key}
+	start := time.Now() //uslint:allow detorder -- latency measurement is this tool's purpose
+	defer func() {
+		rec.LatencyMs = float64(time.Since(start).Nanoseconds()) / 1e6 //uslint:allow detorder -- latency measurement is this tool's purpose
+	}()
+
+	job, err := cl.Submit(ctx, p.req)
+	if err != nil {
+		herr, ok := err.(*fleet.HTTPError)
+		switch {
+		case ok && herr.Kind == serve.KindShed:
+			rec.Outcome, rec.ErrorKind = outShed, herr.Kind
+			rec.RetryAfter = herr.RetryAfter.Seconds()
+		case ok && herr.Backpressure():
+			rec.Outcome, rec.ErrorKind = outRejected, herr.Kind
+			rec.RetryAfter = herr.RetryAfter.Seconds()
+		case ok:
+			rec.Outcome, rec.ErrorKind = outError, herr.Kind
+		default:
+			rec.Outcome, rec.ErrorKind = outError, "transport"
+		}
+		return rec
+	}
+	rec.JobID = job.ID
+	deadline := start.Add(wait)
+	for {
+		if time.Now().After(deadline) { //uslint:allow detorder -- client-side wait bound, not report input
+			rec.Outcome = outTimeout
+			cctx, ccancel := context.WithTimeout(context.Background(), 5*time.Second)
+			cl.Cancel(cctx, job.ID)
+			ccancel()
+			return rec
+		}
+		time.Sleep(poll)
+		cur, err := cl.Job(ctx, job.ID)
+		if err != nil {
+			continue // transient poll failure; the deadline bounds us
+		}
+		switch cur.State {
+		case serve.StateDone:
+			sum := sha256.Sum256([]byte(cur.Report))
+			rec.Outcome = outDone
+			rec.Cached = cur.Cached
+			rec.ReportSHA = hex.EncodeToString(sum[:])
+			return rec
+		case serve.StateFailed, serve.StateCanceled, serve.StateInterrupted:
+			rec.Outcome = outFailed
+			rec.ErrorKind = cur.ErrorKind
+			return rec
+		}
+	}
+}
+
 func main() {
 	target := flag.String("target", "http://127.0.0.1:8460", "usserve base URL")
 	requests := flag.Int("requests", 0, "burst mode: offer this many requests at once (ignored when -rate > 0)")
@@ -403,7 +461,6 @@ func main() {
 	}
 
 	runOne := func(i int) record {
-		p := plan[i]
 		cur := inflight.Add(1)
 		for {
 			prev := peak.Load()
@@ -412,58 +469,7 @@ func main() {
 			}
 		}
 		defer inflight.Add(-1)
-
-		rec := record{Index: i, Class: p.class, Key: p.key}
-		start := time.Now() //uslint:allow detorder -- latency measurement is this tool's purpose
-		defer func() {
-			rec.LatencyMs = float64(time.Since(start).Nanoseconds()) / 1e6 //uslint:allow detorder -- latency measurement is this tool's purpose
-		}()
-
-		job, err := cl.Submit(ctx, p.req)
-		if err != nil {
-			herr, ok := err.(*fleet.HTTPError)
-			switch {
-			case ok && herr.Kind == serve.KindShed:
-				rec.Outcome, rec.ErrorKind = outShed, herr.Kind
-				rec.RetryAfter = herr.RetryAfter.Seconds()
-			case ok && herr.Backpressure():
-				rec.Outcome, rec.ErrorKind = outRejected, herr.Kind
-				rec.RetryAfter = herr.RetryAfter.Seconds()
-			case ok:
-				rec.Outcome, rec.ErrorKind = outError, herr.Kind
-			default:
-				rec.Outcome, rec.ErrorKind = outError, "transport"
-			}
-			return rec
-		}
-		rec.JobID = job.ID
-		deadline := start.Add(*wait)
-		for {
-			if time.Now().After(deadline) { //uslint:allow detorder -- client-side wait bound, not report input
-				rec.Outcome = outTimeout
-				cctx, ccancel := context.WithTimeout(context.Background(), 5*time.Second)
-				cl.Cancel(cctx, job.ID)
-				ccancel()
-				return rec
-			}
-			time.Sleep(*poll)
-			cur, err := cl.Job(ctx, job.ID)
-			if err != nil {
-				continue // transient poll failure; the deadline bounds us
-			}
-			switch cur.State {
-			case serve.StateDone:
-				sum := sha256.Sum256([]byte(cur.Report))
-				rec.Outcome = outDone
-				rec.Cached = cur.Cached
-				rec.ReportSHA = hex.EncodeToString(sum[:])
-				return rec
-			case serve.StateFailed, serve.StateCanceled, serve.StateInterrupted:
-				rec.Outcome = outFailed
-				rec.ErrorKind = cur.ErrorKind
-				return rec
-			}
-		}
+		return runRequest(ctx, cl, i, plan[i], *wait, *poll)
 	}
 
 	finish := func(i int, rec record) {

@@ -38,6 +38,25 @@ func renderReport(t *testing.T, rep *fault.Report) string {
 	return b.String()
 }
 
+// TestFaultCampaignGoldenReport pins the default usfault campaign
+// (`usfault -seed 1 -n 16`) byte for byte against a report generated
+// before the fault-plan source was replaced, so any change to the plan
+// RNG stream, the engine under faults or the classifier shows up here.
+// CI compares the usfault binary's output against the same file.
+func TestFaultCampaignGoldenReport(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "usfault-seed1-n16.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunFaultCampaign(FaultCampaignConfig{Seed: 1, Window: 16, N: 16, Detect: fault.DetectGolden})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderReport(t, rep); got != string(want) {
+		t.Fatalf("report drifted from testdata/usfault-seed1-n16.txt\ngot:\n%s", got)
+	}
+}
+
 // TestFaultCampaignDeterministic: the same campaign configuration yields
 // a byte-identical report whether the points run serially or fanned out
 // across the worker pool — the acceptance contract for usfault.

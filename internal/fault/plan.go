@@ -34,7 +34,7 @@ type GenParams struct {
 // NewPlan generates a random fault plan from the seed. Identical
 // (seed, params) always yield an identical plan.
 func NewPlan(seed int64, p GenParams) *Plan {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(newPlanSource(seed))
 	sites := p.Sites
 	if len(sites) == 0 {
 		sites = AllSites()

@@ -96,7 +96,9 @@ func readOperands(in isa.Inst, regs []isa.Word) (a, b isa.Word) {
 }
 
 func checkRegs(in isa.Inst, nregs int) error {
-	for _, r := range in.Reads() {
+	r1, r2, n := in.ReadRegs()
+	reads := [2]uint8{r1, r2}
+	for _, r := range reads[:n] {
 		if int(r) >= nregs {
 			return fmt.Errorf("ref: %s reads r%d but machine has %d registers", in, r, nregs)
 		}

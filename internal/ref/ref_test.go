@@ -7,6 +7,7 @@ import (
 	"ultrascalar/internal/asm"
 	"ultrascalar/internal/isa"
 	"ultrascalar/internal/memory"
+	"ultrascalar/internal/workload"
 )
 
 func run(t *testing.T, src string) *Result {
@@ -237,5 +238,36 @@ func TestFlatMemory(t *testing.T) {
 	y.Store(2, 1)
 	if x.Equal(y) {
 		t.Error("different keys should not be equal")
+	}
+}
+
+// TestMachineStepAllocFree pins the golden checker's per-retire cost:
+// Effect plus Advance allocate nothing on a kernel's non-error path.
+// Bubble sort loads, stores (to words already in memory), branches and
+// does arithmetic, so every non-error Effect case is exercised.
+func TestMachineStepAllocFree(t *testing.T) {
+	const runs = 20
+	w := workload.BubbleSort(12)
+	machines := make([]*Machine, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range machines {
+		machines[i] = NewMachine(w.Prog, w.Mem(), 0, nil)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		m := machines[next]
+		next++
+		for !m.Halted() {
+			eff, err := m.Effect()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Advance(eff)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Effect+Advance allocated %.1f times per kernel run, want 0", allocs)
+	}
+	if got := machines[runs].Executed(); got < 100 {
+		t.Fatalf("kernel retired only %d instructions", got)
 	}
 }
