@@ -132,12 +132,14 @@ func main() {
 		fail("%v", err)
 	}
 
+	// Register for signals before serving: once /readyz answers, a
+	// SIGTERM must drain, not kill the process with the default action.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
+
 	srv := &http.Server{Addr: *addr, Handler: mgr.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 
 	fmt.Fprintf(os.Stderr, "usserve: serving on %s (state in %s)\n", *addr, *dir)
 	select {

@@ -363,6 +363,12 @@ func printStatus(client *http.Client, base string) error {
 		fmt.Println()
 	}
 
+	// Job-record journal appends, a write and an fsync each.
+	if hv, ok := snap.Histograms["serve.persist_ms"]; ok && hv.Count > 0 {
+		fmt.Printf("persist (ms): n=%d P50=%.3f P99=%.3f errors=%d\n", hv.Count,
+			hv.Quantile(0.50), hv.Quantile(0.99), snap.Counters["serve.persist_errors"])
+	}
+
 	// Result cache, when the server runs one.
 	if hits, ok := snap.Counters["serve.cache.hits"]; ok {
 		fmt.Printf("cache: hits=%d misses=%d stores=%d quarantines=%d\n",

@@ -9,9 +9,16 @@
 // would come back up seeing the old file (acceptable) or, on some
 // filesystems, a directory entry pointing at nothing (not acceptable
 // for a checkpoint that claimed to be durable). Campaign checkpoints,
-// serve job records, result-cache entries and fleet coordinator state
-// all go through this path, so the resume guarantees those layers
-// advertise hold across kill -9 and power loss alike.
+// result-cache entries and fleet coordinator state all go through this
+// path, so the resume guarantees those layers advertise hold across
+// kill -9 and power loss alike.
+//
+// State that changes several times per request — serve's job records —
+// goes through a Journal instead: an append-only file of newline-
+// terminated records, one write and one fsync per record, read back
+// with the last record per key winning. A failed append is cut back off
+// the file before it returns, OpenJournal drops the torn tail a crash
+// mid-append leaves, and Rewrite compacts the file through WriteFile.
 //
 // Every failure is returned as a typed *Error naming the stage that
 // failed and wrapping the underlying (usually syscall) error, and the
@@ -19,9 +26,10 @@
 // never leaves `.tmp` debris next to a checkpoint. The package also
 // carries deterministic resource-exhaustion injection (SetFaults):
 // every-Nth-write ENOSPC with a short write, and every-Nth fsync or
-// directory-fsync EIO — the chaos harness uses these to prove that
-// checkpoints, cache entries and job records degrade into typed,
-// retryable errors instead of corrupting state.
+// directory-fsync EIO, counted across WriteFile and Journal.Append —
+// the chaos harness uses these to prove that checkpoints, cache entries
+// and job records degrade into typed, retryable errors instead of
+// corrupting state.
 package atomicio
 
 import (
@@ -86,16 +94,17 @@ func (e *Error) Unwrap() error { return e.Err }
 // request schedule without the injector knowing anything about call
 // sites.
 type Faults struct {
-	// WriteENOSPCEvery fails every Nth WriteFile data write with
-	// ENOSPC after writing only half the payload — the classic
-	// disk-full short write.
+	// WriteENOSPCEvery fails every Nth data write (WriteFile or
+	// Journal.Append) with ENOSPC after writing only half the payload
+	// — the classic disk-full short write.
 	WriteENOSPCEvery int
-	// SyncFailEvery fails every Nth temp-file fsync with EIO (dirty
-	// pages could not reach stable storage).
+	// SyncFailEvery fails every Nth temp-file or journal fsync with EIO
+	// (dirty pages could not reach stable storage).
 	SyncFailEvery int
 	// DirSyncFailEvery fails every Nth directory fsync inside
-	// WriteFile with EIO (the rename may not survive power loss, so
-	// the write must not be advertised as durable).
+	// WriteFile or Journal.Append with EIO (the rename or the new file
+	// may not survive power loss, so the write must not be advertised
+	// as durable).
 	DirSyncFailEvery int
 }
 

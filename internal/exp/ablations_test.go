@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -159,9 +161,17 @@ func TestGateLevelMatches(t *testing.T) {
 				r.Workload, r.Ultra2Cycles, r.Ultra1Cycles)
 		}
 	}
-	rep, err := GateLevelReport(4)
-	if err != nil || !strings.Contains(rep, "MATCH") || strings.Contains(rep, "MISMATCH") {
-		t.Errorf("gate-level report bad: %v", err)
+	rep := formatGateLevel(4, rows)
+	if !strings.Contains(rep, "MATCH") || strings.Contains(rep, "MISMATCH") {
+		t.Errorf("gate-level report bad")
+	}
+	// The E18 text, every gate-level cycle count included, is pinned.
+	want, err := os.ReadFile(filepath.Join("testdata", "e18-window4.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep != string(want) {
+		t.Errorf("E18 report differs from testdata/e18-window4.txt:\n--- got ---\n%s--- want ---\n%s", rep, want)
 	}
 }
 

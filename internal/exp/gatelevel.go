@@ -91,6 +91,11 @@ func GateLevelReport(window int) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return formatGateLevel(window, rows), nil
+}
+
+// formatGateLevel renders E18 from its rows.
+func formatGateLevel(window int, rows []GateLevelRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "E18: kernel suite through the gate-level datapaths (window %d)\n\n", window)
 	tab := analysis.NewTable("workload", "insts", "gates UltraI", "gates hybrid",
@@ -105,5 +110,5 @@ func GateLevelReport(window int) (string, error) {
 	}
 	b.WriteString(tab.String())
 	b.WriteString("\nForwarding and sequencing computed by evaluating the Figure 4/5 CSPP\nand Figure 7/8 grid netlists every cycle; architectural state matches\nthe golden interpreter on every kernel.\n")
-	return b.String(), nil
+	return b.String()
 }

@@ -112,7 +112,11 @@ func TestAdaptiveAdmissionShedsByClass(t *testing.T) {
 		}
 	}
 
-	mustSubmit(sim, "first sim")  // claimed by the (blocking) worker
+	first := mustSubmit(sim, "first sim") // claimed by the (blocking) worker
+	// Wait for the claim: a worker that has not yet claimed when the
+	// sweep and campaign arrive would claim the campaign (the highest
+	// class) instead, and the head-of-line ages below would differ.
+	waitState(t, m, first.ID, StateRunning)
 	mustSubmit(sim, "queued sim") // sits at the head of the queue
 	// Head-of-line age above target but within the grace interval:
 	// still admitting.

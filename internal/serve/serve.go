@@ -153,8 +153,13 @@ type Clock func() time.Time
 
 // Config tunes the service.
 type Config struct {
-	// Dir is the state directory; job records live in Dir/jobs and
-	// campaign checkpoints in Dir/checkpoints.
+	// Dir is the state directory. Job records are appended to the
+	// journal Dir/jobs/journal.jsonl, one compact JSON record per line
+	// and per state change, the last record for an ID winning; the
+	// journal is created at the first submit, and compacted to one
+	// record per job at start. Records older binaries wrote as
+	// Dir/jobs/<id>.json are read first. Campaign checkpoints live in
+	// Dir/checkpoints.
 	Dir string
 	// QueueCap bounds the admission queue; submissions beyond it are
 	// shed with 503 + Retry-After (default 16). This is the hard memory
@@ -224,6 +229,7 @@ type Manager struct {
 	progress   map[string]shardProgress // campaign shard completion, by job ID
 	queueSpans map[string]obslog.Span   // open queue-wait spans, by job ID
 	progCond   *sync.Cond               // broadcast on progress / job-state change
+	journal    *atomicio.Journal        // job records, appended by persistLocked
 
 	// queues holds the admission queue as one FIFO per job class;
 	// workers claim from the highest class first, so under pressure
@@ -246,6 +252,7 @@ type Manager struct {
 	mQueueDelay      *obs.Histogram
 	mAdmitLevel      *obs.Gauge
 	mPersistErr      *obs.Counter
+	mPersist         *obs.Histogram
 	mShedClass       [numClasses]*obs.Counter
 	inflight         atomic.Int64 // in-flight HTTP requests, mirrored to a gauge
 
@@ -340,6 +347,7 @@ func New(cfg Config) (*Manager, error) {
 		m.mQueueDelay = r.Histogram("serve.queue_delay_ms", queueDelayMsBounds)
 		m.mAdmitLevel = r.Gauge("serve.admit_level")
 		m.mPersistErr = r.Counter("serve.persist_errors")
+		m.mPersist = r.Histogram("serve.persist_ms", persistMsBounds)
 		for cls := 0; cls < numClasses; cls++ {
 			m.mShedClass[cls] = r.Counter(obs.LabeledName("serve.shed_class",
 				obs.Label{Key: "class", Value: className(cls)}))
@@ -394,27 +402,47 @@ func New(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// recover loads persisted jobs from Dir/jobs. Jobs found running were
-// interrupted by a crash: they are demoted to interrupted and, like
-// queued and previously-interrupted jobs, re-enqueued in ID order.
+// journalName is the job-record journal's file name in Dir/jobs.
+const journalName = "journal.jsonl"
+
+// recover loads persisted jobs: first the one-file-per-job records
+// (Dir/jobs/<id>.json) older binaries wrote, then the journal, whose
+// last record for an ID wins. Jobs found running were interrupted by a
+// crash: they are demoted to interrupted and, like queued and
+// previously-interrupted jobs, re-enqueued in ID order; the demotion
+// need not be appended, since a replay demotes the record again. When
+// the journal holds more records than there are jobs, it is rewritten
+// once with one record per job in ID order.
 func (m *Manager) recover() ([]string, error) {
-	ents, err := os.ReadDir(filepath.Join(m.cfg.Dir, "jobs"))
+	dir := filepath.Join(m.cfg.Dir, "jobs")
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("serve: reading job dir: %w", err)
 	}
-	var runnable []string
 	for _, e := range ents { // ReadDir sorts by name == ID order
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(m.cfg.Dir, "jobs", e.Name()))
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			return nil, fmt.Errorf("serve: reading job record: %w", err)
 		}
-		var job Job
-		if err := json.Unmarshal(data, &job); err != nil {
+		if err := m.loadRecord(data); err != nil {
 			return nil, fmt.Errorf("serve: corrupt job record %s: %w", e.Name(), err)
 		}
+	}
+	records := 0
+	m.journal, err = atomicio.OpenJournal(filepath.Join(dir, journalName), 0o644, func(rec []byte) error {
+		records++
+		return m.loadRecord(rec)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("serve: corrupt job journal: %w", err)
+	}
+	sort.Strings(m.order)
+	var runnable []string
+	for _, id := range m.order {
+		job := m.jobs[id]
 		if job.State == StateRunning {
 			job.State = StateInterrupted
 		}
@@ -424,8 +452,6 @@ func (m *Manager) recover() ([]string, error) {
 			// other process would assign.
 			job.Trace = string(obslog.DeriveTraceID(job.ID))
 		}
-		m.jobs[job.ID] = &job
-		m.order = append(m.order, job.ID)
 		var seq int
 		if _, err := fmt.Sscanf(job.ID, "job-%06d", &seq); err == nil && seq >= m.nextSeq {
 			m.nextSeq = seq + 1
@@ -433,12 +459,47 @@ func (m *Manager) recover() ([]string, error) {
 		if job.State == StateQueued || job.State == StateInterrupted {
 			runnable = append(runnable, job.ID)
 		}
-		if job.State == StateInterrupted {
-			m.persistLocked(&job)
-		}
 	}
-	sort.Strings(m.order)
+	if records > len(m.order) {
+		m.compact()
+	}
 	return runnable, nil
+}
+
+// loadRecord decodes one job record and makes it the job's current
+// state, replacing any earlier record for the same ID.
+func (m *Manager) loadRecord(data []byte) error {
+	var job Job
+	if err := json.Unmarshal(data, &job); err != nil {
+		return err
+	}
+	if job.ID == "" {
+		return errors.New("job record has no id")
+	}
+	if _, seen := m.jobs[job.ID]; !seen {
+		m.order = append(m.order, job.ID)
+	}
+	m.jobs[job.ID] = &job
+	return nil
+}
+
+// compact rewrites the journal with one record per job, in ID order.
+// It runs only at start: a drain must not spend its exit budget
+// rewriting every job. A failure leaves the old journal, which still
+// replays to the same jobs, so it is counted and logged like a failed
+// append.
+func (m *Manager) compact() {
+	recs := make([][]byte, 0, len(m.order))
+	for _, id := range m.order {
+		data, err := json.Marshal(m.jobs[id])
+		if err != nil {
+			return
+		}
+		recs = append(recs, data)
+	}
+	if err := m.journal.Rewrite(recs); err != nil {
+		m.persistFailed("", err)
+	}
 }
 
 // configClass is the circuit breaker's grouping key: jobs that share a
@@ -540,9 +601,13 @@ func campaignWorkloadByName(name string) (workload.Workload, bool) {
 	return workload.Workload{}, false
 }
 
+// kernelSuite is the kernel suite, assembled once per process. Sim jobs
+// only read it: the programs are shared by every job and worker.
+var kernelSuite = sync.OnceValue(workload.Kernels)
+
 // kernelByName resolves a kernel-suite workload by name.
 func kernelByName(name string) (workload.Workload, bool) {
-	for _, w := range workload.Kernels() {
+	for _, w := range kernelSuite() {
 		if w.Name == name {
 			return w, true
 		}
@@ -776,17 +841,21 @@ func (m *Manager) Drain(ctx context.Context) {
 	}()
 	select {
 	case <-done:
-		return
 	case <-ctx.Done():
-	}
-	m.mu.Lock()
-	for _, id := range m.order {
-		if cancel := m.cancels[id]; cancel != nil {
-			cancel()
+		m.mu.Lock()
+		for _, id := range m.order {
+			if cancel := m.cancels[id]; cancel != nil {
+				cancel()
+			}
 		}
+		m.mu.Unlock()
+		<-done
 	}
+	// Every record is already fsynced, so a close error loses nothing;
+	// a later Cancel still persists, since the journal reopens on demand.
+	m.mu.Lock()
+	m.journal.Close()
 	m.mu.Unlock()
-	<-done
 }
 
 // worker claims and runs jobs until drain. The drain check inside
@@ -1228,25 +1297,42 @@ func snapshot(job *Job) *Job {
 	return &cp
 }
 
-// persistLocked writes the job record crash-atomically; m.mu must be
-// held. Persistence failures are deliberately non-fatal for the job
-// itself (the in-memory state is authoritative while the process
-// lives), but they are counted and logged — a silently unpersisted
-// record is exactly the kind of state the resource-exhaustion chaos
-// run exists to notice.
+// persistMsBounds buckets job-record appends: a write plus an fsync,
+// tens of microseconds on a fast disk, up to seconds on a stalled one.
+var persistMsBounds = []float64{
+	0.02, 0.05, 0.1, 0.2, 0.5, 1, 2, 5, 10, 25, 100, 1000,
+}
+
+// persistLocked appends the job's record to the journal and fsyncs it;
+// m.mu must be held. Holding the lock across the append is what orders
+// durability before visibility: a job is on disk before a worker can
+// claim it, and a finished or canceled state is on disk before any
+// reader sees it. Persistence failures are deliberately non-fatal for
+// the job itself (the in-memory state is authoritative while the
+// process lives; the journal cut the failed record back off), but they
+// are counted and logged — a silently unpersisted record is exactly
+// the kind of state the resource-exhaustion chaos run exists to notice.
 func (m *Manager) persistLocked(job *Job) {
-	data, err := json.MarshalIndent(job, "", "  ")
+	data, err := json.Marshal(job)
 	if err != nil {
 		return
 	}
-	path := filepath.Join(m.cfg.Dir, "jobs", job.ID+".json")
-	if err := atomicio.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		if m.mPersistErr != nil {
-			m.mPersistErr.Inc()
-		}
-		m.log.Warn("job record persist failed",
-			obslog.String("id", job.ID), obslog.String("err", err.Error()))
+	start := m.cfg.Clock()
+	err = m.journal.Append(data)
+	if m.mPersist != nil {
+		m.mPersist.Observe(float64(m.cfg.Clock().Sub(start)) / float64(time.Millisecond))
 	}
+	if err != nil {
+		m.persistFailed(job.ID, err)
+	}
+}
+
+// persistFailed counts and logs a failed journal write.
+func (m *Manager) persistFailed(id string, err error) {
+	if m.mPersistErr != nil {
+		m.mPersistErr.Inc()
+	}
+	m.log.Warn("job record persist failed", obslog.String("id", id), obslog.String("err", err.Error()))
 }
 
 // gaugeDepth publishes the queue depth; m.mu must be held.

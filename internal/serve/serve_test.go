@@ -417,3 +417,46 @@ func TestListIsSortedByID(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelByNameAllocFree: the kernel suite is assembled once per
+// process, so resolving a sim job's workload after the first call
+// allocates nothing.
+func TestKernelByNameAllocFree(t *testing.T) {
+	if _, ok := kernelByName("fib"); !ok {
+		t.Fatal("fib not in the kernel suite")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { kernelByName("collatz") }); allocs != 0 {
+		t.Fatalf("kernelByName allocates %v per call, want 0", allocs)
+	}
+}
+
+// TestConcurrentSimJobsShareKernels runs sim jobs of every kernel on
+// two workers at once. The workers share the memoized suite's programs,
+// so under -race this shows that jobs only read them; the reports must
+// also equal a one-worker run's.
+func TestConcurrentSimJobsShareKernels(t *testing.T) {
+	reports := func(workers int) map[string]string {
+		m := newTestManager(t, Config{Workers: workers, QueueCap: 64})
+		var ids []string
+		for round := 0; round < 2; round++ {
+			for _, w := range kernelSuite() {
+				job, serr := m.Submit(JobRequest{Kind: "sim", Arch: "hybrid", Window: 16, Workload: w.Name})
+				if serr != nil {
+					t.Fatalf("Submit %s: %v", w.Name, serr)
+				}
+				ids = append(ids, job.ID)
+			}
+		}
+		out := map[string]string{}
+		for _, id := range ids {
+			out[id] = waitState(t, m, id, StateDone).Report
+		}
+		return out
+	}
+	serial, parallel := reports(1), reports(2)
+	for id, rep := range serial {
+		if parallel[id] != rep {
+			t.Errorf("%s: two-worker report differs:\n%s\nvs\n%s", id, parallel[id], rep)
+		}
+	}
+}

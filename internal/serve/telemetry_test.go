@@ -370,6 +370,7 @@ func TestHTTPPrometheusAndProgress(t *testing.T) {
 		"# TYPE serve_http_requests counter",
 		`serve_http_requests{route="GET /jobs/{id}/progress",code="200"}`,
 		"# TYPE serve_queue_depth gauge",
+		"# TYPE serve_persist_ms histogram",
 	} {
 		if !strings.Contains(prom.String(), want) {
 			t.Errorf("exposition missing %q:\n%s", want, prom.String())
@@ -377,6 +378,10 @@ func TestHTTPPrometheusAndProgress(t *testing.T) {
 	}
 	if n := len(reg.Snapshots()); n != 0 {
 		t.Errorf("prom scrape appended %d snapshots", n)
+	}
+	// One journal append each for submit, start and finish.
+	if n := reg.Histogram("serve.persist_ms", nil).Count(); n != 3 {
+		t.Errorf("serve.persist_ms observed %d appends, want 3", n)
 	}
 }
 

@@ -78,6 +78,13 @@ job_state() {
     curl -fsS "$BASE/jobs/$JOB_ID" | grep -o '"state": "[^"]*"' | head -1 | cut -d'"' -f4
 }
 
+# job_record DIR: copies the job's last record in DIR's job journal —
+# the record a restart recovers — to $WORK/record.json.
+job_record() {
+    grep -F "{\"id\":\"$JOB_ID\"," "$1/jobs/journal.jsonl" >"$WORK/records.json" || true
+    tail -n 1 "$WORK/records.json" >"$WORK/record.json"
+}
+
 wait_done() { # $1 = max seconds
     for _ in $(seq 1 $(($1 * 5))); do
         state="$(job_state)"
@@ -136,8 +143,9 @@ echo "$PROGRESS" | grep -q '"shards_total": [1-9]' ||
 echo "serve_smoke: SIGTERM mid-job after $(wc -l <"$CKPT") checkpoint lines"
 stop_server
 
-grep -q '"state": "interrupted"' "$WORK/state-int/jobs/$JOB_ID.json" ||
-    fail "drained job not persisted as interrupted: $(cat "$WORK/state-int/jobs/$JOB_ID.json")"
+job_record "$WORK/state-int"
+grep -q '"state":"interrupted"' "$WORK/record.json" ||
+    fail "drained job not persisted as interrupted: $(cat "$WORK/record.json")"
 
 echo "serve_smoke: restarting on the same state directory"
 start_server "$WORK/state-int"
@@ -154,7 +162,8 @@ stop_server
 
 # --- Telemetry postconditions: one trace ID, loadable trace file. ------
 echo "serve_smoke: checking the job trace"
-TRACE="$(grep -o '"trace": "[a-f0-9]*"' "$WORK/state-int/jobs/$JOB_ID.json" | head -1 | cut -d'"' -f4)"
+job_record "$WORK/state-int"
+TRACE="$(grep -o '"trace":"[a-f0-9]*"' "$WORK/record.json" | head -1 | cut -d'"' -f4)"
 [ -n "$TRACE" ] || fail "job record carries no trace ID"
 
 # Every shard span in the log must carry the job's trace ID — exactly
