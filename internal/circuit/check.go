@@ -188,6 +188,9 @@ func (c *Circuit) Check(opt CheckOptions) CheckResult {
 // emitting combineGates per Combine and identityGates per Identity, with
 // value width w.
 func countScanTree(n, w, combineGates, identityGates int) int {
+	if n < 1 {
+		return 0
+	}
 	if n == 1 {
 		// Identity + Combine(identity, val) + MuxBus.
 		return identityGates + combineGates + w

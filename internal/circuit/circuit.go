@@ -16,7 +16,10 @@
 // guarantees the oldest station's segment bit always is.
 package circuit
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Kind identifies a gate type.
 type Kind uint8
@@ -87,10 +90,17 @@ type Circuit struct {
 	gates   []gate
 	inputs  []int // ids of Input gates, in declaration order
 	outputs []int // designated output nets, in declaration order
+
+	fanOnce sync.Once
+	fan     *fanout // consumer index for incremental evaluation
 }
 
 // New returns an empty circuit.
 func New() *Circuit { return &Circuit{} }
+
+// newSized returns an empty circuit with room for the given number of
+// gates, for generators whose exact count is known in closed form.
+func newSized(gates int) *Circuit { return &Circuit{gates: make([]gate, 0, max(gates, 0))} }
 
 // NumGates returns the total number of nodes, including inputs and consts.
 func (c *Circuit) NumGates() int { return len(c.gates) }
@@ -160,47 +170,11 @@ func (c *Circuit) Output(x int) int {
 	return len(c.outputs) - 1
 }
 
-// Eval computes the outputs for one input assignment. The length of in
-// must equal NumInputs.
-func (c *Circuit) Eval(in []bool) []bool {
-	if len(in) != len(c.inputs) {
-		panic(fmt.Sprintf("circuit: Eval got %d inputs, want %d", len(in), len(c.inputs)))
-	}
-	vals := make([]bool, len(c.gates))
-	next := 0
-	for id, g := range c.gates {
-		switch g.kind {
-		case Input:
-			vals[id] = in[next]
-			next++
-		case Const0:
-			vals[id] = false
-		case Const1:
-			vals[id] = true
-		case Buf:
-			vals[id] = vals[g.in[0]]
-		case Not:
-			vals[id] = !vals[g.in[0]]
-		case And2:
-			vals[id] = vals[g.in[0]] && vals[g.in[1]]
-		case Or2:
-			vals[id] = vals[g.in[0]] || vals[g.in[1]]
-		case Xor2:
-			vals[id] = vals[g.in[0]] != vals[g.in[1]]
-		case Mux2:
-			if vals[g.in[0]] {
-				vals[id] = vals[g.in[2]]
-			} else {
-				vals[id] = vals[g.in[1]]
-			}
-		}
-	}
-	out := make([]bool, len(c.outputs))
-	for i, id := range c.outputs {
-		out[i] = vals[id]
-	}
-	return out
-}
+// Eval computes the outputs for one input assignment with a full pass
+// over a fresh Evaluator. The length of in must equal NumInputs. It is
+// the reference the incremental evaluator is tested against; callers
+// that evaluate a netlist repeatedly should hold an Evaluator instead.
+func (c *Circuit) Eval(in []bool) []bool { return c.NewEvaluator().Eval(in) }
 
 // Depth returns the critical-path length, in unit gate delays, from any
 // input or constant to any designated output.

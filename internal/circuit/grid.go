@@ -63,7 +63,7 @@ type row struct {
 // W-bit Ultrascalar II. tree selects the mesh-of-trees (Figure 8) versus
 // the linear grid (Figure 7).
 func Ultra2Grid(n, l, w int, tree bool) (*Circuit, Ultra2Layout) {
-	c := New()
+	c := newSized(ExpectedGatesUltra2Grid(n, l, w, tree))
 	layout := Ultra2Layout{N: n, L: l, W: w, DestW: log2ceil(l)}
 	dw := layout.DestW
 
@@ -155,7 +155,7 @@ func column(c *Circuit, rows []row, want Bus, w int, tree bool) Bus {
 // cluster presents the Ultrascalar I interface. Inputs: per station, destW
 // number bits then the writes flag. Outputs: L modified bits.
 func HybridModifiedBits(n, l int, tree bool) *Circuit {
-	c := New()
+	c := newSized(ExpectedGatesHybridModified(n, l, tree))
 	dw := log2ceil(l)
 	dests := make([]Bus, n)
 	writes := make([]int, n)

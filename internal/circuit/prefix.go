@@ -226,7 +226,7 @@ func BuildCSPPMixed(c *Circuit, items []ScanItem, op ScanOp, blockSize int) []Bu
 // bits) and per-station outputs (the incoming register value seen by the
 // station). tree selects Figure 4 (true) or the Figure 1 mux ring (false).
 func RegisterCSPP(n, w int, tree bool) *Circuit {
-	c := New()
+	c := newSized(ExpectedGatesRegisterCSPP(n, w, tree))
 	items := make([]ScanItem, n)
 	for i := range items {
 		items[i] = ScanItem{Seg: c.NewInput(), Val: c.NewInputBus(w)}
@@ -248,7 +248,7 @@ func RegisterCSPP(n, w int, tree bool) *Circuit {
 // output: whether all earlier stations (from the segment raiser) met the
 // condition.
 func Figure5CSPP(n int, tree bool) *Circuit {
-	c := New()
+	c := newSized(ExpectedGatesFigure5(n, tree))
 	items := make([]ScanItem, n)
 	for i := range items {
 		items[i] = ScanItem{Seg: c.NewInput(), Val: Bus{c.NewInput()}}

@@ -9,10 +9,21 @@
 //
 // gatesim exists as an end-to-end validation artifact: programs run
 // through real gates must produce the same architectural results as the
-// golden interpreter, and the same cycle counts as the core engine. It is
-// restricted to the Ultrascalar I feature set the datapath figures show:
-// straight-line and branching integer code without the core engine's
-// optional extensions, with loads/stores against fixed-latency memory.
+// golden interpreter, which the tests check on the whole kernel suite.
+// Cycle counts match the core engine only on straight-line code
+// (TestStraightLineCyclesMatchEngine). The datapath figures include no
+// branch predictor, so fetch here stalls at every control transfer until
+// it resolves, and branching code takes more cycles than on the engine
+// (experiment E18: collatz takes 2199 gate-level cycles against the
+// engine's 1409). It is restricted to the Ultrascalar I feature set the
+// datapath figures show: straight-line and branching integer code
+// without the core engine's optional extensions, with loads/stores
+// against fixed-latency memory.
+//
+// Each netlist is evaluated incrementally (circuit.Evaluator): the
+// simulators keep one instance per copy of the circuit the hardware
+// holds, so each cycle re-evaluates only the gates whose inputs changed
+// since that copy's previous cycle.
 package gatesim
 
 import (
@@ -50,72 +61,100 @@ type Result struct {
 	Retired int64
 }
 
-// datapath holds the compiled netlists, rebuilt once per configuration.
-type datapath struct {
-	n, l, w int
-	// regCSPP is the Figure 4 netlist for one logical register: inputs
-	// per station (modified, value W+1 bits including ready); outputs per
-	// station (incoming value W+1). One circuit instance is shared by all
-	// L registers (it is the same netlist; hardware replicates it L
-	// times, simulation evaluates it L times per cycle).
-	regCSPP *circuit.Circuit
-	// seqCSPP is the Figure 5 netlist: inputs per station (segment,
-	// condition); outputs per station (all earlier stations met it).
-	seqCSPP *circuit.Circuit
+// registerCSPPs is the Figure 4 register datapath: one instance of the
+// RegisterCSPP netlist per logical register. Inputs per station:
+// modified, then the W-bit value and its ready bit; outputs per station:
+// the incoming value and ready bit. The hardware replicates the netlist L
+// times, so every instance shares one netlist but keeps its own values.
+type registerCSPPs struct {
+	n, w int
+	regs []*circuit.Evaluator
+	in   []bool // input vector, reused by every call
+	outV []isa.Word
+	outR []bool
 }
 
-func newDatapath(n, l, w int) *datapath {
-	return &datapath{
-		n: n, l: l, w: w,
-		regCSPP: circuit.RegisterCSPP(n, w+1, true),
-		seqCSPP: circuit.Figure5CSPP(n, true),
+func newRegisterCSPPs(n, l, w int) *registerCSPPs {
+	c := circuit.RegisterCSPP(n, w+1, true)
+	f := &registerCSPPs{
+		n: n, w: w,
+		regs: make([]*circuit.Evaluator, l),
+		in:   make([]bool, 0, n*(2+w)),
+		outV: make([]isa.Word, n),
+		outR: make([]bool, n),
 	}
+	for r := range f.regs {
+		f.regs[r] = c.NewEvaluator()
+	}
+	return f
 }
 
-// forwardRegister evaluates the register CSPP netlist for one logical
-// register. vals and readys are the per-station inserted values; modified
-// marks inserting stations (the oldest must be marked by the caller).
-func (d *datapath) forwardRegister(modified []bool, vals []isa.Word, readys []bool) ([]isa.Word, []bool) {
-	in := make([]bool, 0, d.n*(2+d.w))
-	for i := 0; i < d.n; i++ {
+// forward evaluates register r's CSPP instance. vals and readys are the
+// per-station inserted values; modified marks inserting stations (the
+// oldest must be marked by the caller). The returned slices are
+// overwritten by the next call.
+func (f *registerCSPPs) forward(r int, modified []bool, vals []isa.Word, readys []bool) ([]isa.Word, []bool) {
+	in := f.in[:0]
+	for i := 0; i < f.n; i++ {
 		in = append(in, modified[i])
 		v := vals[i]
-		for b := 0; b < d.w; b++ {
+		for b := 0; b < f.w; b++ {
 			in = append(in, v>>uint(b)&1 == 1)
 		}
 		in = append(in, readys[i])
 	}
-	raw := d.regCSPP.Eval(in)
-	outV := make([]isa.Word, d.n)
-	outR := make([]bool, d.n)
-	stride := d.w + 1
-	for i := 0; i < d.n; i++ {
+	raw := f.regs[r].Eval(in)
+	stride := f.w + 1
+	for i := 0; i < f.n; i++ {
 		var v isa.Word
-		for b := 0; b < d.w; b++ {
+		for b := 0; b < f.w; b++ {
 			if raw[i*stride+b] {
 				v |= 1 << uint(b)
 			}
 		}
-		outV[i] = v
-		outR[i] = raw[i*stride+d.w]
+		f.outV[i] = v
+		f.outR[i] = raw[i*stride+f.w]
 	}
-	return outV, outR
+	return f.outV, f.outR
 }
 
-// allEarlier evaluates the Figure 5 netlist: out[i] reports whether every
+// datapath holds the Ultrascalar I's netlist instances, built once per
+// run.
+type datapath struct {
+	n    int
+	regs *registerCSPPs
+	// storesDone and memOpsDone are the two Figure 5 instances: inputs
+	// per station (segment, condition); outputs per station (all earlier
+	// stations met it).
+	storesDone, memOpsDone *circuit.Evaluator
+	seqIn                  []bool
+}
+
+func newDatapath(n, l, w int) *datapath {
+	seq := circuit.Figure5CSPP(n, true)
+	return &datapath{
+		n:          n,
+		regs:       newRegisterCSPPs(n, l, w),
+		storesDone: seq.NewEvaluator(),
+		memOpsDone: seq.NewEvaluator(),
+		seqIn:      make([]bool, 0, 2*n),
+	}
+}
+
+// allEarlier evaluates a Figure 5 instance: out[i] reports whether every
 // station from the oldest up to (excluding) i met the condition. The
 // oldest station's own output is forced true (it has no earlier
-// stations), as in internal/cspp.AllEarlierTrue.
-func (d *datapath) allEarlier(met []bool, oldest int) []bool {
-	in := make([]bool, 0, 2*d.n)
+// stations), as in internal/cspp.AllEarlierTrue. The result is the
+// instance's output buffer, valid until its next call; forcing one entry
+// there is safe because every call rewrites the whole buffer.
+func (d *datapath) allEarlier(seq *circuit.Evaluator, met []bool, oldest int) []bool {
+	in := d.seqIn[:0]
 	for i := 0; i < d.n; i++ {
 		in = append(in, i == oldest, met[i])
 	}
-	out := d.seqCSPP.Eval(in)
-	res := make([]bool, d.n)
-	copy(res, out)
-	res[oldest] = true
-	return res
+	out := seq.Eval(in)
+	out[oldest] = true
+	return out
 }
 
 // station is one execution station of the ring.
@@ -261,7 +300,7 @@ func Run(prog []isa.Inst, mem *memory.Flat, cfg Config) (*Result, error) {
 				insVal[p] = val
 				insReady[p] = rdy
 			}
-			outV, outR := d.forwardRegister(modified, insVal, insReady)
+			outV, outR := d.regs.forward(r, modified, insVal, insReady)
 			for k := 1; k < n; k++ { // oldest does not latch
 				p := posOf(k)
 				if ring[p].valid {
@@ -281,13 +320,13 @@ func Run(prog []isa.Inst, mem *memory.Flat, cfg Config) (*Result, error) {
 			s := ring[p]
 			met[p] = !s.valid || !s.inst.IsStore() || s.memDone
 		}
-		storesDone := d.allEarlier(met, posOf(0))
+		storesDone := d.allEarlier(d.storesDone, met, posOf(0))
 		for k := 0; k < n; k++ {
 			p := posOf(k)
 			s := ring[p]
 			met[p] = !s.valid || !s.inst.IsMem() || s.memDone
 		}
-		memOpsDone := d.allEarlier(met, posOf(0))
+		memOpsDone := d.allEarlier(d.memOpsDone, met, posOf(0))
 
 		// Phase 3: execute. With gate-level memory arbitration, first
 		// collect this cycle's eligible memory accesses and run them

@@ -64,7 +64,7 @@ func RunUltra2(prog []isa.Inst, mem *memory.Flat, cfg Config) (*Result, error) {
 	}
 	n, l, w := cfg.Window, cfg.NumRegs, cfg.Width
 	mask := isa.Word(1)<<uint(w) - 1
-	grid, layout := circuit.Ultra2Grid(n, l, w, true)
+	grid := newU2Grid(circuit.Ultra2Grid(n, l, w, true))
 	var arb *memArbiter
 	if cfg.MemBandwidth > 0 {
 		arb = newMemArbiter(n, cfg.MemBandwidth)
@@ -113,7 +113,7 @@ func RunUltra2(prog []isa.Inst, mem *memory.Flat, cfg Config) (*Result, error) {
 			if cycles >= cfg.MaxCycles {
 				return nil, ErrNoHalt
 			}
-			evalGrid(grid, layout, commit, batch, mask)
+			grid.route(commit, nil, batch, mask)
 			var memGrant []bool
 			if arb != nil {
 				reqs := make([]bool, n)
@@ -187,7 +187,7 @@ func RunUltra2(prog []isa.Inst, mem *memory.Flat, cfg Config) (*Result, error) {
 
 		// Batch complete: latch the final register values (the grid's
 		// outgoing columns) into the register file and refill.
-		latchOutgoing(grid, layout, commit, batch, mask)
+		grid.latchOutgoing(commit, batch, mask)
 		retired += int64(len(batch))
 		if haltIdx >= 0 {
 			return &Result{Regs: commit, Mem: mem, Cycles: cycles, Retired: retired}, nil
@@ -209,23 +209,43 @@ func batchDone(batch []*u2station) bool {
 	return true
 }
 
-// evalGrid drives the Ultrascalar II grid netlist with the batch's
-// current state and captures each station's delivered arguments.
-func evalGrid(grid *circuit.Circuit, lay circuit.Ultra2Layout, commit []isa.Word, batch []*u2station, mask isa.Word) {
-	in := make([]bool, 0, lay.NumInputs())
+// u2grid is one instance of the Ultrascalar II grid netlist: the
+// hardware's grid keeps its values between cycles, and so does the
+// instance, so each cycle re-evaluates only what the stations changed.
+type u2grid struct {
+	ev  *circuit.Evaluator
+	lay circuit.Ultra2Layout
+	in  []bool
+}
+
+func newU2Grid(c *circuit.Circuit, lay circuit.Ultra2Layout) *u2grid {
+	return &u2grid{ev: c.NewEvaluator(), lay: lay, in: make([]bool, 0, lay.NumInputs())}
+}
+
+// eval drives the grid and returns its raw outputs, valid until the next
+// call. Initial register r holds vals[r], ready when readys[r] (readys nil
+// means all ready); station s holds stations[s], absent when nil or past
+// the end. final drives every station as done and requesting no
+// arguments, so the outgoing columns carry the batch's final values.
+func (g *u2grid) eval(vals []isa.Word, readys []bool, stations []*u2station, mask isa.Word, final bool) []bool {
+	lay := g.lay
+	in := g.in[:0]
 	push := func(v uint64, bits int) {
 		for b := 0; b < bits; b++ {
 			in = append(in, v>>uint(b)&1 == 1)
 		}
 	}
-	// Initial register file: committed values, all ready.
 	for r := 0; r < lay.L; r++ {
-		push(uint64(commit[r]&mask)|uint64(1)<<uint(lay.W), lay.W+1)
+		v := uint64(vals[r] & mask)
+		if readys == nil || readys[r] {
+			v |= 1 << uint(lay.W)
+		}
+		push(v, lay.W+1)
 	}
 	for s := 0; s < lay.N; s++ {
 		var st *u2station
-		if s < len(batch) {
-			st = batch[s]
+		if s < len(stations) {
+			st = stations[s]
 		}
 		var dest uint64
 		var writes bool
@@ -236,15 +256,17 @@ func evalGrid(grid *circuit.Circuit, lay circuit.Ultra2Layout, commit []isa.Word
 				dest, writes = uint64(d), true
 			}
 			result = uint64(st.result & mask)
-			if st.done {
+			if st.done || final {
 				result |= 1 << uint(lay.W) // ready bit
 			}
-			reads := st.inst.Reads()
-			if len(reads) > 0 {
-				argA = uint64(reads[0])
-			}
-			if len(reads) > 1 {
-				argB = uint64(reads[1])
+			if !final {
+				reads := st.inst.Reads()
+				if len(reads) > 0 {
+					argA = uint64(reads[0])
+				}
+				if len(reads) > 1 {
+					argB = uint64(reads[1])
+				}
 			}
 		}
 		push(dest, lay.DestW)
@@ -253,7 +275,14 @@ func evalGrid(grid *circuit.Circuit, lay circuit.Ultra2Layout, commit []isa.Word
 		push(argA, lay.DestW)
 		push(argB, lay.DestW)
 	}
-	raw := grid.Eval(in)
+	return g.ev.Eval(in)
+}
+
+// route drives the grid with the stations' current state over the given
+// initial register file and captures each station's delivered arguments.
+func (g *u2grid) route(vals []isa.Word, readys []bool, stations []*u2station, mask isa.Word) {
+	raw := g.eval(vals, readys, stations, mask, false)
+	lay := g.lay
 	pull := func(off int) (isa.Word, bool) {
 		var v isa.Word
 		for b := 0; b < lay.W; b++ {
@@ -263,7 +292,10 @@ func evalGrid(grid *circuit.Circuit, lay circuit.Ultra2Layout, commit []isa.Word
 		}
 		return v, raw[off+lay.W]
 	}
-	for s, st := range batch {
+	for s, st := range stations {
+		if st == nil {
+			continue
+		}
 		a, aOK := pull((2*s + 0) * (lay.W + 1))
 		b, bOK := pull((2*s + 1) * (lay.W + 1))
 		reads := st.inst.Reads()
@@ -278,38 +310,12 @@ func evalGrid(grid *circuit.Circuit, lay circuit.Ultra2Layout, commit []isa.Word
 	}
 }
 
-// latchOutgoing reads the grid's outgoing register columns (the final
-// value of every logical register) into the committed register file.
-func latchOutgoing(grid *circuit.Circuit, lay circuit.Ultra2Layout, commit []isa.Word, batch []*u2station, mask isa.Word) {
-	// Re-evaluate with everything done so the outgoing columns carry the
-	// final values, then latch.
-	in := make([]bool, 0, lay.NumInputs())
-	push := func(v uint64, bits int) {
-		for b := 0; b < bits; b++ {
-			in = append(in, v>>uint(b)&1 == 1)
-		}
-	}
-	for r := 0; r < lay.L; r++ {
-		push(uint64(commit[r]&mask)|uint64(1)<<uint(lay.W), lay.W+1)
-	}
-	for s := 0; s < lay.N; s++ {
-		var dest uint64
-		var writes bool
-		var result uint64
-		if s < len(batch) {
-			st := batch[s]
-			if d, ok := st.inst.Writes(); ok {
-				dest, writes = uint64(d), true
-			}
-			result = uint64(st.result&mask) | 1<<uint(lay.W)
-		}
-		push(dest, lay.DestW)
-		in = append(in, writes)
-		push(result, lay.W+1)
-		push(0, lay.DestW)
-		push(0, lay.DestW)
-	}
-	raw := grid.Eval(in)
+// latchOutgoing re-evaluates the grid with the whole batch done and
+// latches its outgoing register columns (the final value of every
+// logical register) into the committed register file.
+func (g *u2grid) latchOutgoing(commit []isa.Word, batch []*u2station, mask isa.Word) {
+	raw := g.eval(commit, nil, batch, mask, true)
+	lay := g.lay
 	base := lay.N * 2 * (lay.W + 1)
 	for r := 0; r < lay.L; r++ {
 		var v isa.Word

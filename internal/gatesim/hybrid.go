@@ -30,6 +30,9 @@ type hybridCluster struct {
 	// modified holds the cluster's Figure 9 modified bits, computed once
 	// per refill by evaluating the OR netlist over the loaded batch.
 	modified []bool
+	// grid is the cluster's own instance of the Ultrascalar II grid
+	// netlist.
+	grid *u2grid
 }
 
 // HybridConfig sizes the gate-level hybrid.
@@ -66,8 +69,8 @@ func RunHybrid(prog []isa.Inst, mem *memory.Flat, cfg HybridConfig) (*Result, er
 	mask := isa.Word(1)<<uint(w) - 1
 
 	grid, layout := circuit.Ultra2Grid(C, l, w, true)
-	interCSPP := circuit.RegisterCSPP(nC, w+1, true)
-	modOR := circuit.HybridModifiedBits(C, l, true)
+	interCSPP := newRegisterCSPPs(nC, l, w)
+	modOR := circuit.HybridModifiedBits(C, l, true).NewEvaluator()
 
 	ring := make([]*hybridCluster, nC)
 	for i := range ring {
@@ -75,6 +78,8 @@ func RunHybrid(prog []isa.Inst, mem *memory.Flat, cfg HybridConfig) (*Result, er
 			stations: make([]*u2station, 0, C),
 			inVal:    make([]isa.Word, l),
 			inReady:  make([]bool, l),
+			modified: make([]bool, l),
+			grid:     newU2Grid(grid, layout),
 		}
 	}
 	commit := make([]isa.Word, l)
@@ -120,11 +125,7 @@ func RunHybrid(prog []isa.Inst, mem *memory.Flat, cfg HybridConfig) (*Result, er
 				pc++
 			}
 			cl.count = len(cl.stations)
-			insts := make([]isa.Inst, len(cl.stations))
-			for i, s := range cl.stations {
-				insts[i] = s.inst
-			}
-			cl.modified = ClusterModifiedBits(modOR, C, l, insts)
+			cl.loadModified(modOR, C, l)
 			active++
 		}
 		return nil
@@ -181,7 +182,7 @@ func RunHybrid(prog []isa.Inst, mem *memory.Flat, cfg HybridConfig) (*Result, er
 				p := posOf(k)
 				mods[p], vals[p], readys[p] = clusterReg(p, k == 0, r)
 			}
-			outV, outR := evalInterCSPP(interCSPP, nC, w, mods, vals, readys)
+			outV, outR := interCSPP.forward(r, mods, vals, readys)
 			for k := 1; k < nC; k++ {
 				p := posOf(k)
 				if ring[p].valid {
@@ -201,7 +202,7 @@ func RunHybrid(prog []isa.Inst, mem *memory.Flat, cfg HybridConfig) (*Result, er
 			if !cl.valid {
 				continue
 			}
-			evalClusterGrid(grid, layout, cl, mask)
+			cl.grid.route(cl.inVal, cl.inReady, cl.stations, mask)
 		}
 
 		// Phase 3: memory serialization across the whole window (global
@@ -310,112 +311,23 @@ func clusterDone(cl *hybridCluster) bool {
 	return true
 }
 
-// evalInterCSPP drives the cluster-level register CSPP netlist.
-func evalInterCSPP(c *circuit.Circuit, nC, w int, mods []bool, vals []isa.Word, readys []bool) ([]isa.Word, []bool) {
-	in := make([]bool, 0, nC*(2+w))
-	for i := 0; i < nC; i++ {
-		in = append(in, mods[i])
-		for b := 0; b < w; b++ {
-			in = append(in, vals[i]>>uint(b)&1 == 1)
-		}
-		in = append(in, readys[i])
+// loadModified evaluates the Figure 9 OR netlist over the cluster's
+// freshly loaded batch and latches the bits. The evaluator's output is
+// shared by every cluster and rewritten at the next refill, so the bits
+// are copied.
+func (cl *hybridCluster) loadModified(modOR *circuit.Evaluator, nStations, l int) {
+	insts := make([]isa.Inst, len(cl.stations))
+	for i, s := range cl.stations {
+		insts[i] = s.inst
 	}
-	raw := c.Eval(in)
-	outV := make([]isa.Word, nC)
-	outR := make([]bool, nC)
-	stride := w + 1
-	for i := 0; i < nC; i++ {
-		var v isa.Word
-		for b := 0; b < w; b++ {
-			if raw[i*stride+b] {
-				v |= 1 << uint(b)
-			}
-		}
-		outV[i] = v
-		outR[i] = raw[i*stride+w]
-	}
-	return outV, outR
-}
-
-// evalClusterGrid drives one cluster's Ultrascalar II grid netlist with
-// the cluster's incoming register file as the initial file.
-func evalClusterGrid(grid *circuit.Circuit, lay circuit.Ultra2Layout, cl *hybridCluster, mask isa.Word) {
-	in := make([]bool, 0, lay.NumInputs())
-	push := func(v uint64, bits int) {
-		for b := 0; b < bits; b++ {
-			in = append(in, v>>uint(b)&1 == 1)
-		}
-	}
-	for r := 0; r < lay.L; r++ {
-		v := uint64(cl.inVal[r] & mask)
-		if cl.inReady[r] {
-			v |= 1 << uint(lay.W)
-		}
-		push(v, lay.W+1)
-	}
-	for s := 0; s < lay.N; s++ {
-		var st *u2station
-		if s < len(cl.stations) {
-			st = cl.stations[s]
-		}
-		var dest uint64
-		var writes bool
-		var result uint64
-		var argA, argB uint64
-		if st != nil {
-			if d, ok := st.inst.Writes(); ok {
-				dest, writes = uint64(d), true
-			}
-			result = uint64(st.result & mask)
-			if st.done {
-				result |= 1 << uint(lay.W)
-			}
-			reads := st.inst.Reads()
-			if len(reads) > 0 {
-				argA = uint64(reads[0])
-			}
-			if len(reads) > 1 {
-				argB = uint64(reads[1])
-			}
-		}
-		push(dest, lay.DestW)
-		in = append(in, writes)
-		push(result, lay.W+1)
-		push(argA, lay.DestW)
-		push(argB, lay.DestW)
-	}
-	raw := grid.Eval(in)
-	pull := func(off int) (isa.Word, bool) {
-		var v isa.Word
-		for b := 0; b < lay.W; b++ {
-			if raw[off+b] {
-				v |= 1 << uint(b)
-			}
-		}
-		return v, raw[off+lay.W]
-	}
-	for s, st := range cl.stations {
-		if st == nil {
-			continue
-		}
-		a, aOK := pull((2*s + 0) * (lay.W + 1))
-		b, bOK := pull((2*s + 1) * (lay.W + 1))
-		reads := st.inst.Reads()
-		ok := true
-		if len(reads) > 0 && !aOK {
-			ok = false
-		}
-		if len(reads) > 1 && !bOK {
-			ok = false
-		}
-		st.argsA, st.argsB, st.argsOK = a, b, ok
-	}
+	copy(cl.modified, ClusterModifiedBits(modOR, nStations, l, insts))
 }
 
 // ClusterModifiedBits evaluates the Figure 9 modified-bit OR netlist for a
 // batch of instructions: one bit per logical register, high when any
-// station in the cluster writes it. Exposed for the datapath tests.
-func ClusterModifiedBits(c *circuit.Circuit, nStations, l int, insts []isa.Inst) []bool {
+// station in the cluster writes it. The result is the evaluator's output
+// buffer, valid until its next call. Exposed for the datapath tests.
+func ClusterModifiedBits(ev *circuit.Evaluator, nStations, l int, insts []isa.Inst) []bool {
 	dw := 1
 	for 1<<dw < l {
 		dw++
@@ -434,5 +346,5 @@ func ClusterModifiedBits(c *circuit.Circuit, nStations, l int, insts []isa.Inst)
 		}
 		in = append(in, writes)
 	}
-	return c.Eval(in)
+	return ev.Eval(in)
 }

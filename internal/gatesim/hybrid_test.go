@@ -3,6 +3,7 @@ package gatesim
 import (
 	"testing"
 
+	"ultrascalar/internal/circuit"
 	"ultrascalar/internal/isa"
 	"ultrascalar/internal/memory"
 	"ultrascalar/internal/ref"
@@ -109,4 +110,41 @@ func TestClusterModifiedBitsNetlist(t *testing.T) {
 	if res.Regs[6] != 16 {
 		t.Errorf("r6 = %d, want 16", res.Regs[6])
 	}
+}
+
+// TestClusterModifiedBitsKeptAcrossRefill: all clusters share one
+// instance of the Figure 9 OR netlist, whose output is rewritten at every
+// refill, so one cluster refilling must leave another cluster's latched
+// modified bits alone.
+func TestClusterModifiedBitsKeptAcrossRefill(t *testing.T) {
+	const c, l = 2, 8
+	modOR := circuit.HybridModifiedBits(c, l, true).NewEvaluator()
+	load := func(cl *hybridCluster, dests ...uint8) {
+		cl.stations = cl.stations[:0]
+		for _, d := range dests {
+			cl.stations = append(cl.stations, &u2station{inst: isa.Inst{Op: isa.OpLi, Rd: d, Imm: 1}})
+		}
+		cl.loadModified(modOR, c, l)
+	}
+	want := func(name string, cl *hybridCluster, dests ...int) {
+		t.Helper()
+		exp := make([]bool, l)
+		for _, d := range dests {
+			exp[d] = true
+		}
+		for r := range exp {
+			if cl.modified[r] != exp[r] {
+				t.Errorf("%s: modified[r%d] = %v, want %v", name, r, cl.modified[r], exp[r])
+			}
+		}
+	}
+	a := &hybridCluster{modified: make([]bool, l)}
+	b := &hybridCluster{modified: make([]bool, l)}
+	load(a, 3, 5)
+	load(b, 1, 6)
+	want("a after b's refill", a, 3, 5)
+	want("b", b, 1, 6)
+	load(a, 2)
+	want("a refilled", a, 2)
+	want("b after a's refill", b, 1, 6)
 }

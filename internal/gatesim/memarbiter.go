@@ -2,13 +2,13 @@ package gatesim
 
 import "ultrascalar/internal/circuit"
 
-// memArbiter wraps the gate-level fat-tree arbiter netlist for per-cycle
-// memory-access arbitration: per-level link capacities min(2^h, M), age
-// tags giving the oldest requests priority.
+// memArbiter wraps one instance of the gate-level fat-tree arbiter
+// netlist for per-cycle memory-access arbitration: per-level link
+// capacities min(2^h, M), age tags giving the oldest requests priority.
 type memArbiter struct {
-	c      *circuit.Circuit
+	ev     *circuit.Evaluator
 	layout circuit.FatTreeArbiterLayout
-	n      int
+	in     []bool
 }
 
 func newMemArbiter(n, m int) *memArbiter {
@@ -36,13 +36,14 @@ func newMemArbiter(n, m int) *memArbiter {
 	}
 	tagW++ // headroom so ages 0..size-1 are distinct tags
 	c, lay := circuit.FatTreeArbiter(size, tagW, caps)
-	return &memArbiter{c: c, layout: lay, n: n}
+	return &memArbiter{ev: c.NewEvaluator(), layout: lay, in: make([]bool, 0, lay.N*(1+lay.TagW))}
 }
 
 // grants evaluates the arbiter netlist: reqs and ages are indexed by ring
-// position; ages must be distinct for requesting positions.
+// position; ages must be distinct for requesting positions. The result
+// is valid until the next call.
 func (a *memArbiter) grants(reqs []bool, ages []int) []bool {
-	in := make([]bool, 0, a.layout.N*(1+a.layout.TagW))
+	in := a.in[:0]
 	for i := 0; i < a.layout.N; i++ {
 		req := i < len(reqs) && reqs[i]
 		age := 0
@@ -54,8 +55,5 @@ func (a *memArbiter) grants(reqs []bool, ages []int) []bool {
 			in = append(in, age>>uint(b)&1 == 1)
 		}
 	}
-	out := a.c.Eval(in)
-	grants := make([]bool, len(reqs))
-	copy(grants, out[:len(reqs)])
-	return grants
+	return a.ev.Eval(in)[:len(reqs)]
 }
