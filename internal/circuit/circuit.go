@@ -304,22 +304,37 @@ func (c *Circuit) Fanout(x int, k int) []int {
 	if k <= 0 {
 		return nil
 	}
-	if k == 1 {
-		return []int{c.Buf(x)}
+	out := make([]int, k)
+	c.fanoutInto(x, out)
+	return out
+}
+
+// fanoutInto fills out with len(out) buffered copies of x: the first
+// half (rounded up) through one buffer, the rest through a second.
+func (c *Circuit) fanoutInto(x int, out []int) {
+	switch len(out) {
+	case 0:
+		return
+	case 1:
+		out[0] = c.Buf(x)
+		return
 	}
-	left := c.Fanout(c.Buf(x), (k+1)/2)
-	right := c.Fanout(c.Buf(x), k/2)
-	return append(left, right...)
+	h := (len(out) + 1) / 2
+	c.fanoutInto(c.Buf(x), out[:h])
+	c.fanoutInto(c.Buf(x), out[h:])
 }
 
 // FanoutBus fans out every bit of a bus k ways; result[i] is the i-th copy.
 func (c *Circuit) FanoutBus(b Bus, k int) []Bus {
 	copies := make([]Bus, k)
+	flat := make([]int, k*len(b))
 	for i := range copies {
-		copies[i] = make(Bus, len(b))
+		copies[i] = flat[i*len(b) : (i+1)*len(b) : (i+1)*len(b)]
 	}
+	tmp := make([]int, k)
 	for bit, x := range b {
-		for i, cp := range c.Fanout(x, k) {
+		c.fanoutInto(x, tmp)
+		for i, cp := range tmp {
 			copies[i][bit] = cp
 		}
 	}

@@ -546,6 +546,13 @@ func BenchmarkBuildRegisterCSPP64x33(b *testing.B) {
 	}
 }
 
+func BenchmarkBuildUltra2Grid4x32(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Ultra2Grid(4, 32, 32, true)
+	}
+}
+
 func BenchmarkEvalUltra2Grid8(b *testing.B) {
 	c, lay := Ultra2Grid(8, 8, 8, true)
 	in := make([]bool, lay.NumInputs())

@@ -13,9 +13,9 @@ import (
 )
 
 // E18: gate-level validation. The gatesim package re-implements the
-// Ultrascalar I and Ultrascalar II with the register forwarding and
-// sequencing computed by evaluating the actual CSPP/grid netlists each
-// cycle. Running the kernel suite through real gates and matching the
+// Ultrascalar I, the Ultrascalar II and the hybrid with the register
+// forwarding and sequencing computed by evaluating the actual CSPP/grid
+// netlists each cycle. Running the kernel suite through real gates and matching the
 // golden interpreter exactly is the closest software analogue of the
 // paper's "we implemented VLSI layouts ... to facilitate an empirical
 // comparison".
@@ -31,7 +31,7 @@ type GateLevelRow struct {
 	Match        bool  // all register files and memories equal
 }
 
-// GateLevel runs the kernel suite through both gate-level simulators.
+// GateLevel runs the kernel suite through the three gate-level machines.
 func GateLevel(window int) ([]GateLevelRow, error) {
 	var rows []GateLevelRow
 	for _, w := range workload.Kernels() {

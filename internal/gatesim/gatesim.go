@@ -1,11 +1,21 @@
 // Package gatesim is a second, independent implementation of the
-// Ultrascalar I: a simulator whose register forwarding and sequencing are
-// computed every clock cycle by evaluating the actual gate-level netlists
-// from internal/circuit — the CSPP register trees of Figure 4 and the
-// 1-bit sequencing CSPP of Figure 5 — rather than by the functional
-// shortcuts of internal/core. Execution stations remain behavioural cells
-// (decode + ALU), exactly as in the paper's own Magic layouts, where the
-// CSPP datapath is the novel fabric and the ALU a standard block.
+// Ultrascalar processors: a simulator whose register forwarding and
+// sequencing are computed every clock cycle by evaluating the actual
+// gate-level netlists from internal/circuit — the CSPP register trees of
+// Figure 4, the 1-bit sequencing CSPPs of Figure 5, the Ultrascalar II
+// grid of Figures 7-8 and the hybrid's Figure 9 modified-bit circuit —
+// rather than by the functional shortcuts of internal/core. Execution
+// stations remain behavioural cells (decode + ALU), exactly as in the
+// paper's own Magic layouts, where the datapath is the novel fabric and
+// the ALU a standard block.
+//
+// One machine covers all three designs. The window of n stations is a
+// ring of n/g refill units of g stations each: each unit is an
+// Ultrascalar II grid (when g > 1), and the units are joined by the
+// Ultrascalar I register CSPPs (when n/g > 1). Run is g = 1 (the
+// Ultrascalar I), RunHybrid is g = C (the paper's Section 6 hybrid) and
+// RunUltra2 is g = n (the Ultrascalar II, whose whole batch drains before
+// it refills).
 //
 // gatesim exists as an end-to-end validation artifact: programs run
 // through real gates must produce the same architectural results as the
@@ -15,13 +25,12 @@
 // branch predictor, so fetch here stalls at every control transfer until
 // it resolves, and branching code takes more cycles than on the engine
 // (experiment E18: collatz takes 2199 gate-level cycles against the
-// engine's 1409). It is restricted to the Ultrascalar I feature set the
-// datapath figures show: straight-line and branching integer code
-// without the core engine's optional extensions, with loads/stores
-// against fixed-latency memory.
+// engine's 1409). The machine runs straight-line and branching integer
+// code without the core engine's optional extensions, with loads and
+// stores against fixed-latency memory.
 //
 // Each netlist is evaluated incrementally (circuit.Evaluator): the
-// simulators keep one instance per copy of the circuit the hardware
+// simulator keeps one instance per copy of the circuit the hardware
 // holds, so each cycle re-evaluates only the gates whose inputs changed
 // since that copy's previous cycle.
 package gatesim
@@ -53,6 +62,16 @@ type Config struct {
 	MemBandwidth int
 }
 
+// HybridConfig sizes the gate-level hybrid.
+type HybridConfig struct {
+	Window    int // total stations n
+	Cluster   int // stations per cluster C
+	NumRegs   int
+	Width     int
+	Lat       isa.Latencies
+	MaxCycles int64
+}
+
 // Result is the outcome of a gate-level run.
 type Result struct {
 	Regs    []isa.Word
@@ -61,128 +80,107 @@ type Result struct {
 	Retired int64
 }
 
-// registerCSPPs is the Figure 4 register datapath: one instance of the
-// RegisterCSPP netlist per logical register. Inputs per station:
-// modified, then the W-bit value and its ready bit; outputs per station:
-// the incoming value and ready bit. The hardware replicates the netlist L
-// times, so every instance shares one netlist but keeps its own values.
-type registerCSPPs struct {
-	n, w int
-	regs []*circuit.Evaluator
-	in   []bool // input vector, reused by every call
-	outV []isa.Word
-	outR []bool
+// Run executes prog on the gate-level Ultrascalar I: every station is its
+// own refill unit, joined to the others by the Figure 4 CSPPs. Branches
+// stall fetch until resolved (the datapath figures do not include a
+// predictor; fetch follows the architectural path), so cycle counts are
+// comparable to a core engine configured without speculation benefits,
+// while architectural results must equal the golden interpreter exactly.
+func Run(prog []isa.Inst, mem *memory.Flat, cfg Config) (*Result, error) {
+	return run(prog, mem, cfg, 1)
 }
 
-func newRegisterCSPPs(n, l, w int) *registerCSPPs {
-	c := circuit.RegisterCSPP(n, w+1, true)
-	f := &registerCSPPs{
-		n: n, w: w,
-		regs: make([]*circuit.Evaluator, l),
-		in:   make([]bool, 0, n*(2+w)),
-		outV: make([]isa.Word, n),
-		outR: make([]bool, n),
-	}
-	for r := range f.regs {
-		f.regs[r] = c.NewEvaluator()
-	}
-	return f
+// RunUltra2 executes prog on a gate-level Ultrascalar II of n stations:
+// one refill unit whose batch executes against the Figure 7/8 grid.
+// Fetch follows the architectural path (a batch ends at its first control
+// transfer, which resolves before the next batch is fetched), loads and
+// stores serialize in program order, and the whole batch drains before
+// the next is fetched — the paper's non-wrap-around semantics.
+func RunUltra2(prog []isa.Inst, mem *memory.Flat, cfg Config) (*Result, error) {
+	return run(prog, mem, cfg, cfg.Window)
 }
 
-// forward evaluates register r's CSPP instance. vals and readys are the
-// per-station inserted values; modified marks inserting stations (the
-// oldest must be marked by the caller). The returned slices are
-// overwritten by the next call.
-func (f *registerCSPPs) forward(r int, modified []bool, vals []isa.Word, readys []bool) ([]isa.Word, []bool) {
-	in := f.in[:0]
-	for i := 0; i < f.n; i++ {
-		in = append(in, modified[i])
-		v := vals[i]
-		for b := 0; b < f.w; b++ {
-			in = append(in, v>>uint(b)&1 == 1)
-		}
-		in = append(in, readys[i])
+// RunHybrid executes prog on the gate-level hybrid (paper Section 6,
+// Figures 9-10): clusters of C stations, each an Ultrascalar II grid
+// whose Figure 9 OR circuit supplies its modified bits, joined by the
+// Ultrascalar I CSPPs at cluster granularity. "From the viewpoint of the
+// Ultrascalar I part of the datapath, a single cluster behaves just like
+// a subtree of [C] stations." Fetch stalls at control transfers until
+// they resolve; clusters refill as units once all their instructions and
+// all earlier instructions have finished.
+func RunHybrid(prog []isa.Inst, mem *memory.Flat, cfg HybridConfig) (*Result, error) {
+	if cfg.Window < 1 || cfg.Cluster < 1 || cfg.Window%cfg.Cluster != 0 {
+		return nil, fmt.Errorf("gatesim: bad hybrid geometry n=%d C=%d", cfg.Window, cfg.Cluster)
 	}
-	raw := f.regs[r].Eval(in)
-	stride := f.w + 1
-	for i := 0; i < f.n; i++ {
-		var v isa.Word
-		for b := 0; b < f.w; b++ {
-			if raw[i*stride+b] {
-				v |= 1 << uint(b)
-			}
-		}
-		f.outV[i] = v
-		f.outR[i] = raw[i*stride+f.w]
-	}
-	return f.outV, f.outR
+	return run(prog, mem, Config{Window: cfg.Window, NumRegs: cfg.NumRegs, Width: cfg.Width,
+		Lat: cfg.Lat, MaxCycles: cfg.MaxCycles}, cfg.Cluster)
 }
 
-// datapath holds the Ultrascalar I's netlist instances, built once per
-// run.
-type datapath struct {
-	n    int
-	regs *registerCSPPs
-	// storesDone and memOpsDone are the two Figure 5 instances: inputs
-	// per station (segment, condition); outputs per station (all earlier
-	// stations met it).
-	storesDone, memOpsDone *circuit.Evaluator
-	seqIn                  []bool
-}
-
-func newDatapath(n, l, w int) *datapath {
-	seq := circuit.Figure5CSPP(n, true)
-	return &datapath{
-		n:          n,
-		regs:       newRegisterCSPPs(n, l, w),
-		storesDone: seq.NewEvaluator(),
-		memOpsDone: seq.NewEvaluator(),
-		seqIn:      make([]bool, 0, 2*n),
-	}
-}
-
-// allEarlier evaluates a Figure 5 instance: out[i] reports whether every
-// station from the oldest up to (excluding) i met the condition. The
-// oldest station's own output is forced true (it has no earlier
-// stations), as in internal/cspp.AllEarlierTrue. The result is the
-// instance's output buffer, valid until its next call; forcing one entry
-// there is safe because every call rewrites the whole buffer.
-func (d *datapath) allEarlier(seq *circuit.Evaluator, met []bool, oldest int) []bool {
-	in := d.seqIn[:0]
-	for i := 0; i < d.n; i++ {
-		in = append(in, i == oldest, met[i])
-	}
-	out := seq.Eval(in)
-	out[oldest] = true
-	return out
-}
-
-// station is one execution station of the ring.
+// station is one execution station.
 type station struct {
-	valid bool
-	inst  isa.Inst
-	pc    int
-	seq   int64
-
-	// Latched incoming register file (updated every cycle unless oldest).
-	regs  []isa.Word
-	ready []bool
-
+	inst      isa.Inst
+	pc        int
 	started   bool
 	remaining int
 	done      bool
-	result    isa.Word
-	resolved  bool
-	nextPC    int
 	memDone   bool
+	result    isa.Word
+	nextPC    int
+	// Arguments delivered this cycle, and whether all the instruction
+	// reads are ready.
+	argA, argB isa.Word
+	argsOK     bool
 }
 
-// Run executes prog on the gate-level Ultrascalar I. Branches stall fetch
-// until resolved (the datapath figures do not include a predictor; fetch
-// follows the architectural path), so cycle counts are comparable to a
-// core engine configured without speculation benefits, while
-// architectural results must equal the golden interpreter exactly.
-func Run(prog []isa.Inst, mem *memory.Flat, cfg Config) (*Result, error) {
+// mayStart reports whether the station may work this cycle: its
+// arguments are ready and, before it starts, a load has every earlier
+// store done and a store every earlier memory access (the Figure 5
+// outputs at its slot).
+func (s *station) mayStart(storesDone, memOpsDone bool) bool {
+	return s.argsOK && (s.started ||
+		(!s.inst.IsLoad() || storesDone) && (!s.inst.IsStore() || memOpsDone))
+}
+
+// unit is one refill unit of the ring: g stations that are fetched,
+// retired and refilled together.
+type unit struct {
+	stations []*station // the loaded batch (at most g); empty when free
+	pool     []station  // backing store of stations
+	// inVal and inReady are the unit's latched incoming register file:
+	// the committed file for the oldest unit, the values delivered by the
+	// Figure 4 CSPPs for the others.
+	inVal   []isa.Word
+	inReady []bool
+	// modified holds the unit's Figure 9 modified bits, computed once per
+	// refill; modIn is the OR netlist's input buffer.
+	modified []bool
+	modIn    []bool
+	grid     *u2grid // the unit's own grid instance; nil when g == 1
+}
+
+// outgoing is what the unit inserts into register r's Figure 4 CSPP:
+// for a register its Figure 9 bit marks, the value and ready bit of the
+// newest station writing it (found by scanning the stations); otherwise
+// the committed value in the oldest unit, and nothing in the others.
+func (u *unit) outgoing(r int, oldest bool, committed isa.Word) (bool, isa.Word, bool) {
+	if len(u.stations) > 0 && u.modified[r] {
+		var v isa.Word
+		rdy := false
+		for _, s := range u.stations {
+			if d, ok := s.inst.Writes(); ok && int(d) == r {
+				v, rdy = s.result, s.done
+			}
+		}
+		return true, v, rdy
+	}
+	if oldest {
+		return true, committed, true
+	}
+	return false, 0, false
+}
+
+// run is the machine with refill granularity g (a divisor of the window).
+func run(prog []isa.Inst, mem *memory.Flat, cfg Config, g int) (*Result, error) {
 	if cfg.Window < 1 {
 		return nil, fmt.Errorf("gatesim: window must be >= 1")
 	}
@@ -199,55 +197,87 @@ func Run(prog []isa.Inst, mem *memory.Flat, cfg Config) (*Result, error) {
 		cfg.MaxCycles = 1 << 20
 	}
 	n, l, w := cfg.Window, cfg.NumRegs, cfg.Width
+	nu := n / g
 	mask := isa.Word(1)<<uint(w) - 1
-	d := newDatapath(n, l, w)
+
+	// The netlist instances: Figure 4 CSPPs and Figure 9 OR circuits
+	// between units, a Figure 7/8 grid inside each unit, the Figure 5
+	// sequencing CSPPs and the optional fat-tree arbiter over all
+	// stations.
+	var inter *registerCSPPs
+	var modOR *circuit.Evaluator
+	if nu > 1 {
+		inter = newRegisterCSPPs(nu, l, w)
+		modOR = circuit.HybridModifiedBits(g, l, true).NewEvaluator()
+	}
+	var grid *circuit.Circuit
+	var lay circuit.Ultra2Layout
+	if g > 1 {
+		grid, lay = circuit.Ultra2Grid(g, l, w, true)
+	}
+	seq := newSequencer(n)
 	var arb *memArbiter
 	if cfg.MemBandwidth > 0 {
 		arb = newMemArbiter(n, cfg.MemBandwidth)
 	}
-
-	ring := make([]*station, n)
-	for i := range ring {
-		ring[i] = &station{regs: make([]isa.Word, l), ready: make([]bool, l)}
+	pool := make([]station, n)
+	ring := make([]*unit, nu)
+	for p := range ring {
+		u := &unit{
+			stations: make([]*station, 0, g),
+			pool:     pool[p*g : (p+1)*g],
+			inVal:    make([]isa.Word, l),
+			inReady:  make([]bool, l),
+			modified: make([]bool, l),
+		}
+		if grid != nil {
+			u.grid = newU2Grid(grid, lay)
+		}
+		ring[p] = u
 	}
+
 	commit := make([]isa.Word, l)
-	oldestPos := 0
-	count := 0
-	fetchPC := 0
-	fetchStalled := false
-	var nextSeq, retired int64
+	oldest, active := 0, 0 // ring position of the oldest unit; units in use
+	pc := 0
+	stalled := false // fetch waits for a control transfer to resolve
+	var cycles, retired int64
+	pos := func(k int) int { return (oldest + k) % nu } // k-th oldest unit
 
-	posOf := func(k int) int { return (oldestPos + k) % n } // k-th oldest
-
+	// fill loads free units in age order with up to g sequential
+	// instructions each, stopping after a control transfer or halt.
 	fill := func() error {
-		for count < n && !fetchStalled {
-			if fetchPC < 0 || fetchPC >= len(prog) {
-				if count == 0 {
-					return fmt.Errorf("gatesim: fetch ran out of program at pc=%d", fetchPC)
+		for active < nu && !stalled {
+			if pc < 0 || pc >= len(prog) {
+				if active == 0 {
+					return fmt.Errorf("gatesim: fetch left the program at pc=%d", pc)
 				}
 				return nil
 			}
-			in := prog[fetchPC]
-			for _, r := range in.Reads() {
-				if int(r) >= l {
-					return fmt.Errorf("gatesim: %s reads r%d, machine has %d registers", in, r, l)
+			u := ring[pos(active)]
+			for len(u.stations) < g && !stalled && pc >= 0 && pc < len(prog) {
+				in := prog[pc]
+				r1, r2, nr := in.ReadRegs()
+				for i, r := range [2]uint8{r1, r2} {
+					if i < nr && int(r) >= l {
+						return fmt.Errorf("gatesim: %s reads r%d, machine has %d registers", in, r, l)
+					}
+				}
+				if dst, ok := in.Writes(); ok && int(dst) >= l {
+					return fmt.Errorf("gatesim: %s writes r%d, machine has %d registers", in, dst, l)
+				}
+				s := &u.pool[len(u.stations)]
+				*s = station{inst: in, pc: pc}
+				u.stations = append(u.stations, s)
+				if in.IsHalt() || in.ChangesFlow() {
+					stalled = true // no predictor: wait until it resolves
+				} else {
+					pc++
 				}
 			}
-			if dst, ok := in.Writes(); ok && int(dst) >= l {
-				return fmt.Errorf("gatesim: %s writes r%d, machine has %d registers", in, dst, l)
+			if modOR != nil {
+				u.loadModified(modOR, g, l)
 			}
-			s := ring[posOf(count)]
-			*s = station{valid: true, inst: in, pc: fetchPC, seq: nextSeq,
-				regs: s.regs, ready: s.ready}
-			nextSeq++
-			count++
-			if in.ChangesFlow() || in.IsHalt() {
-				// No predictor in the datapath figures: stall fetch until
-				// the transfer resolves.
-				fetchStalled = true
-				return nil
-			}
-			fetchPC++
+			active++
 		}
 		return nil
 	}
@@ -255,210 +285,153 @@ func Run(prog []isa.Inst, mem *memory.Flat, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	// Per-cycle reusable buffers.
-	modified := make([]bool, n)
-	insVal := make([]isa.Word, n)
-	insReady := make([]bool, n)
-	met := make([]bool, n)
+	// Per-cycle buffers, indexed by unit (mods, vals, readys) or by
+	// station slot p*g+j, station j of the unit at ring position p.
+	mods := make([]bool, nu)
+	vals := make([]isa.Word, nu)
+	readys := make([]bool, nu)
+	reqs := make([]bool, n)
+	ages := make([]int, n)
 
-	for cycle := int64(0); cycle < cfg.MaxCycles; cycle++ {
-		// Phase 1: drive the register datapath, one CSPP tree per
-		// register, and latch incoming values into every non-oldest
-		// station's register file (paper: "Each station, other than the
-		// oldest, latches all of its incoming values").
+	for cycles < cfg.MaxCycles {
+		// Phase 1: the Figure 4 CSPPs, one per register, deliver every
+		// non-oldest unit its incoming values ("each station, other than
+		// the oldest, latches all of its incoming values"); the oldest
+		// unit's file is the committed state.
 		for r := 0; r < l; r++ {
-			for k := 0; k < n; k++ {
-				p := posOf(k)
-				s := ring[p]
-				isOldest := k == 0
-				mod := false
-				val := isa.Word(0)
-				rdy := false
-				if isOldest {
-					// The oldest station marks every register modified and
-					// inserts the committed register file — except for the
-					// register its own instruction writes, where it inserts
-					// its result ("the station inserts the result into the
-					// outgoing register datapath. The rest of the outgoing
-					// registers are set from the register file").
-					mod = true
-					if dst, ok := s.inst.Writes(); s.valid && ok && int(dst) == r {
-						val = s.result & mask
-						rdy = s.done
-					} else {
-						val = commit[r] & mask
-						rdy = true
-					}
-				} else if s.valid {
-					if dst, ok := s.inst.Writes(); ok && int(dst) == r {
-						mod = true
-						val = s.result & mask
-						rdy = s.done
+			if inter != nil {
+				for k := 0; k < nu; k++ {
+					p := pos(k)
+					mods[p], vals[p], readys[p] = ring[p].outgoing(r, k == 0, commit[r])
+				}
+				outV, outR := inter.forward(r, mods, vals, readys)
+				for k := 1; k < nu; k++ {
+					if u := ring[pos(k)]; len(u.stations) > 0 {
+						u.inVal[r], u.inReady[r] = outV[pos(k)], outR[pos(k)]
 					}
 				}
-				modified[p] = mod
-				insVal[p] = val
-				insReady[p] = rdy
 			}
-			outV, outR := d.regs.forward(r, modified, insVal, insReady)
-			for k := 1; k < n; k++ { // oldest does not latch
-				p := posOf(k)
-				if ring[p].valid {
-					ring[p].regs[r] = outV[p]
-					ring[p].ready[r] = outR[p]
-				}
-			}
-			// The oldest station's file is the committed state.
-			ring[posOf(0)].regs[r] = commit[r] & mask
-			ring[posOf(0)].ready[r] = true
+			u := ring[oldest]
+			u.inVal[r], u.inReady[r] = commit[r], true
 		}
 
-		// Phase 2: sequencing CSPPs (Figure 5 instances): stores-done and
-		// mem-done conditions for load/store serialization.
-		for k := 0; k < n; k++ {
-			p := posOf(k)
-			s := ring[p]
-			met[p] = !s.valid || !s.inst.IsStore() || s.memDone
+		// Phase 2: inside each unit, the grid routes arguments from the
+		// unit's incoming file and its earlier stations; a lone station
+		// reads its incoming file directly.
+		for _, u := range ring {
+			if u.grid != nil {
+				u.grid.route(u.inVal, u.inReady, u.stations)
+				continue
+			}
+			for _, s := range u.stations {
+				r1, r2, nr := s.inst.ReadRegs()
+				s.argA, s.argB = u.inVal[r1], u.inVal[r2]
+				s.argsOK = (nr < 1 || u.inReady[r1]) && (nr < 2 || u.inReady[r2])
+			}
 		}
-		storesDone := d.allEarlier(d.storesDone, met, posOf(0))
-		for k := 0; k < n; k++ {
-			p := posOf(k)
-			s := ring[p]
-			met[p] = !s.valid || !s.inst.IsMem() || s.memDone
-		}
-		memOpsDone := d.allEarlier(d.memOpsDone, met, posOf(0))
 
-		// Phase 3: execute. With gate-level memory arbitration, first
-		// collect this cycle's eligible memory accesses and run them
-		// through the fat-tree arbiter netlist; only granted stations may
-		// begin their access.
-		var memGrant []bool
+		// Phase 3: the Figure 5 CSPPs order loads after every earlier
+		// store and stores after every earlier memory access; with
+		// arbitration, the fat-tree arbiter then grants this cycle's
+		// eligible accesses, oldest first.
+		storesDone, memOpsDone := seq.eval(ring, g, oldest)
+		var grant []bool
 		if arb != nil {
-			reqs := make([]bool, n)
-			ages := make([]int, n)
-			for k := 0; k < n; k++ {
-				p := posOf(k)
-				s := ring[p]
-				ages[p] = k
-				if !s.valid || s.done || s.started || !s.inst.IsMem() {
-					continue
-				}
-				ready := true
-				for _, r := range s.inst.Reads() {
-					if !s.ready[r] {
-						ready = false
-						break
+			for k := 0; k < nu; k++ {
+				p := pos(k)
+				for j := 0; j < g; j++ {
+					slot := p*g + j
+					ages[slot], reqs[slot] = k*g+j, false
+					if j < len(ring[p].stations) {
+						s := ring[p].stations[j]
+						reqs[slot] = !s.done && !s.started && s.inst.IsMem() &&
+							s.mayStart(storesDone[slot], memOpsDone[slot])
 					}
 				}
-				if !ready {
-					continue
-				}
-				if s.inst.IsLoad() && !storesDone[p] {
-					continue
-				}
-				if s.inst.IsStore() && !memOpsDone[p] {
-					continue
-				}
-				reqs[p] = true
 			}
-			memGrant = arb.grants(reqs, ages)
-		}
-		for k := 0; k < n; k++ {
-			s := ring[posOf(k)]
-			if !s.valid || s.done {
-				continue
-			}
-			if arb != nil && s.inst.IsMem() && !s.started && !memGrant[posOf(k)] {
-				continue
-			}
-			in := s.inst
-			ready := true
-			var a, b isa.Word
-			reads := in.Reads()
-			for j, r := range reads {
-				if !s.ready[r] {
-					ready = false
-					break
-				}
-				if j == 0 {
-					a = s.regs[r]
-				} else {
-					b = s.regs[r]
-				}
-			}
-			if !ready {
-				continue
-			}
-			if !s.started {
-				switch {
-				case in.IsLoad():
-					if !storesDone[posOf(k)] {
-						continue
-					}
-				case in.IsStore():
-					if !memOpsDone[posOf(k)] {
-						continue
-					}
-				}
-				s.started = true
-				s.remaining = cfg.Lat.Of(in)
-			}
-			s.remaining--
-			if s.remaining > 0 {
-				continue
-			}
-			s.done = true
-			switch {
-			case in.IsHalt() || in.Op == isa.OpNop:
-			case in.IsLoad():
-				s.result = mem.Load(isa.EffAddr(in, a)) & mask
-				s.memDone = true
-			case in.IsStore():
-				mem.Store(isa.EffAddr(in, a), b&mask)
-				s.memDone = true
-			case in.IsBranch():
-				s.resolved = true
-				s.nextPC = isa.NextPC(in, s.pc, a, b)
-			case in.IsJump():
-				s.resolved = true
-				s.nextPC = isa.NextPC(in, s.pc, a, b)
-				s.result = isa.Word(s.pc+1) & mask
-			default:
-				s.result = isa.ALUOp(in, a, b) & mask
-			}
-			if (in.ChangesFlow() || in.IsHalt()) && fetchStalled {
-				if in.IsHalt() {
-					// Fetch stays stalled; retirement ends the run.
-				} else {
-					fetchPC = s.nextPC
-					fetchStalled = false
-				}
-			}
+			grant = arb.grants(reqs, ages)
 		}
 
-		// Phase 4: retire in order from the oldest station.
-		for count > 0 {
-			s := ring[posOf(0)]
-			if !s.valid || !s.done {
+		// Execute, oldest first.
+		for k := 0; k < nu; k++ {
+			p := pos(k)
+			for j, s := range ring[p].stations {
+				slot := p*g + j
+				if s.done || !s.mayStart(storesDone[slot], memOpsDone[slot]) ||
+					arb != nil && s.inst.IsMem() && !s.started && !grant[slot] {
+					continue
+				}
+				in := s.inst
+				if !s.started {
+					s.started = true
+					s.remaining = cfg.Lat.Of(in)
+				}
+				s.remaining--
+				if s.remaining > 0 {
+					continue
+				}
+				s.done = true
+				switch {
+				case in.IsHalt() || in.Op == isa.OpNop:
+				case in.IsLoad():
+					s.result = mem.Load(isa.EffAddr(in, s.argA)) & mask
+					s.memDone = true
+				case in.IsStore():
+					mem.Store(isa.EffAddr(in, s.argA), s.argB&mask)
+					s.memDone = true
+				case in.IsBranch(), in.IsJump():
+					// The link value is computed for branches too; only
+					// jumps write it.
+					s.nextPC = isa.NextPC(in, s.pc, s.argA, s.argB)
+					s.result = isa.Word(s.pc+1) & mask
+					if stalled {
+						pc, stalled = s.nextPC, false
+					}
+				default:
+					s.result = isa.ALUOp(in, s.argA, s.argB) & mask
+				}
+			}
+		}
+		cycles++
+
+		// Phase 4: retire whole units from the oldest ("a cluster behaves
+		// just like an execution station"). A grid unit latches its
+		// outgoing columns — the final value of every register — into
+		// the register file; a lone station writes its result.
+		for active > 0 {
+			u := ring[oldest]
+			if !u.drained() {
 				break
 			}
-			if dst, ok := s.inst.Writes(); ok {
-				commit[dst] = s.result & mask
+			if u.grid != nil {
+				u.grid.latchOutgoing(commit, u.stations)
+			} else if d, ok := u.stations[0].inst.Writes(); ok {
+				commit[d] = u.stations[0].result
 			}
-			retired++
-			halt := s.inst.IsHalt()
-			s.valid = false
-			oldestPos = posOf(1)
-			count--
+			retired += int64(len(u.stations))
+			halt := u.stations[len(u.stations)-1].inst.IsHalt()
+			u.stations = u.stations[:0]
+			oldest = pos(1)
+			active--
 			if halt {
-				return &Result{Regs: commit, Mem: mem, Cycles: cycle + 1, Retired: retired}, nil
+				return &Result{Regs: commit, Mem: mem, Cycles: cycles, Retired: retired}, nil
 			}
 		}
 
-		// Phase 5: refill freed stations.
+		// Phase 5: refill freed units.
 		if err := fill(); err != nil {
 			return nil, err
 		}
 	}
 	return nil, ErrNoHalt
+}
+
+// drained reports whether every loaded station of the unit has finished.
+func (u *unit) drained() bool {
+	for _, s := range u.stations {
+		if !s.done {
+			return false
+		}
+	}
+	return true
 }

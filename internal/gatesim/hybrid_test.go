@@ -119,14 +119,14 @@ func TestClusterModifiedBitsNetlist(t *testing.T) {
 func TestClusterModifiedBitsKeptAcrossRefill(t *testing.T) {
 	const c, l = 2, 8
 	modOR := circuit.HybridModifiedBits(c, l, true).NewEvaluator()
-	load := func(cl *hybridCluster, dests ...uint8) {
+	load := func(cl *unit, dests ...uint8) {
 		cl.stations = cl.stations[:0]
 		for _, d := range dests {
-			cl.stations = append(cl.stations, &u2station{inst: isa.Inst{Op: isa.OpLi, Rd: d, Imm: 1}})
+			cl.stations = append(cl.stations, &station{inst: isa.Inst{Op: isa.OpLi, Rd: d, Imm: 1}})
 		}
 		cl.loadModified(modOR, c, l)
 	}
-	want := func(name string, cl *hybridCluster, dests ...int) {
+	want := func(name string, cl *unit, dests ...int) {
 		t.Helper()
 		exp := make([]bool, l)
 		for _, d := range dests {
@@ -138,8 +138,8 @@ func TestClusterModifiedBitsKeptAcrossRefill(t *testing.T) {
 			}
 		}
 	}
-	a := &hybridCluster{modified: make([]bool, l)}
-	b := &hybridCluster{modified: make([]bool, l)}
+	a := &unit{modified: make([]bool, l)}
+	b := &unit{modified: make([]bool, l)}
 	load(a, 3, 5)
 	load(b, 1, 6)
 	want("a after b's refill", a, 3, 5)
