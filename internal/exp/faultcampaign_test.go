@@ -39,21 +39,34 @@ func renderReport(t *testing.T, rep *fault.Report) string {
 }
 
 // TestFaultCampaignGoldenReport pins the default usfault campaign
-// (`usfault -seed 1 -n 16`) byte for byte against a report generated
-// before the fault-plan source was replaced, so any change to the plan
-// RNG stream, the engine under faults or the classifier shows up here.
-// CI compares the usfault binary's output against the same file.
+// (`usfault -seed 1 -n 16`) byte for byte under each detection model.
+// The golden pin predates the fault-plan source replacement; the parity
+// and none pins, where crash and runaway trials weigh most, predate
+// campaign screening. Any change to the plan RNG stream, the engine
+// under faults, the screen or the classifier shows up here. CI compares
+// the usfault binary's output against the same files.
 func TestFaultCampaignGoldenReport(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "usfault-seed1-n16.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := RunFaultCampaign(FaultCampaignConfig{Seed: 1, Window: 16, N: 16, Detect: fault.DetectGolden})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := renderReport(t, rep); got != string(want) {
-		t.Fatalf("report drifted from testdata/usfault-seed1-n16.txt\ngot:\n%s", got)
+	for _, tc := range []struct {
+		detect fault.Detect
+		file   string
+	}{
+		{fault.DetectGolden, "usfault-seed1-n16.txt"},
+		{fault.DetectParity, "usfault-seed1-n16-parity.txt"},
+		{fault.DetectNone, "usfault-seed1-n16-none.txt"},
+	} {
+		t.Run(tc.detect.String(), func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := RunFaultCampaign(FaultCampaignConfig{Seed: 1, Window: 16, N: 16, Detect: tc.detect})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := renderReport(t, rep); got != string(want) {
+				t.Fatalf("report drifted from testdata/%s\ngot:\n%s", tc.file, got)
+			}
+		})
 	}
 }
 
