@@ -115,6 +115,15 @@ func main() {
 		fail("%v", err)
 	}
 
+	// SIGTERM/SIGINT stop the run cleanly: in-flight leases are
+	// abandoned (their workers finish or time the jobs out on their
+	// own), and everything already merged is in the checkpoint — the
+	// next invocation resumes from it. Register before the status server
+	// starts: a SIGTERM sent once /healthz answers must stop the run, not
+	// kill the process with the default action.
+	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer cancel()
+
 	if *statusAddr != "" {
 		mux := http.NewServeMux()
 		mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -148,13 +157,6 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "usfleet: status on %s\n", *statusAddr)
 	}
-
-	// SIGTERM/SIGINT stop the run cleanly: in-flight leases are
-	// abandoned (their workers finish or time the jobs out on their
-	// own), and everything already merged is in the checkpoint — the
-	// next invocation resumes from it.
-	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer cancel()
 
 	fmt.Fprintf(os.Stderr, "usfleet: distributing campaign seed=%d window=%d trials=%d across %d worker(s)\n",
 		*seed, *window, *trials, len(urls))

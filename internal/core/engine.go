@@ -232,6 +232,12 @@ func Run(prog []isa.Inst, mem *memory.Flat, cfg Config) (*Result, error) {
 // discarded exactly as on any other run error. A nil ctx (what Run
 // passes) disables the probe entirely.
 func RunCtx(ctx context.Context, prog []isa.Inst, mem *memory.Flat, cfg Config) (*Result, error) {
+	return runCtx(ctx, prog, mem, cfg, nil)
+}
+
+// runCtx is RunCtx with an optional fault probe: ScreenFaults attaches
+// one to put the run's fault state in probe mode.
+func runCtx(ctx context.Context, prog []isa.Inst, mem *memory.Flat, cfg Config, probe *faultProbe) (*Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
@@ -285,6 +291,7 @@ func RunCtx(ctx context.Context, prog []isa.Inst, mem *memory.Flat, cfg Config) 
 	}
 	if cfg.FaultPlan != nil && len(cfg.FaultPlan.Faults) > 0 {
 		e.flt = newFaultState(prog, mem, cfg)
+		e.flt.probe = probe
 	}
 	// Wakeup links assume producer state only moves toward done and that
 	// latched operands stay latched — both broken by injected faults

@@ -9,6 +9,7 @@ import (
 	"ultrascalar/internal/isa"
 	"ultrascalar/internal/memory"
 	"ultrascalar/internal/ref"
+	"ultrascalar/internal/workload"
 )
 
 // faultArchs returns the three processor shapes (granularity choices) a
@@ -289,4 +290,63 @@ func TestFaultDetectRequiresPlan(t *testing.T) {
 	if err := cfg.normalize(); err == nil {
 		t.Fatal("normalize accepted FaultDetect without a FaultPlan")
 	}
+}
+
+// FuzzScreenFault checks ScreenFaults against the engine on one random
+// single fault × kernel × window × machine shape: a fault the screen
+// rejects must leave the faulted run equal to the clean run (nothing
+// applied, no watchdog fire, no squash, no error, the same cycle,
+// retired and fetched counts), and a fault it accepts must land.
+func FuzzScreenFault(f *testing.F) {
+	f.Add(uint8(0), uint8(8), uint8(0), uint8(fault.SiteResultBit), int64(20), int32(3), uint8(5), uint8(0), uint8(2), int64(4), uint8(2))
+	f.Add(uint8(1), uint8(16), uint8(2), uint8(fault.SiteReadyStuck0), int64(7), int32(9), uint8(0), uint8(1), uint8(0), int64(60), uint8(0))
+	f.Add(uint8(2), uint8(4), uint8(1), uint8(fault.SiteMergeBit), int64(3), int32(0), uint8(31), uint8(1), uint8(4), int64(1), uint8(1))
+	kernels := []workload.Workload{
+		workload.Fib(8), workload.VecSum(8), workload.GCD(1071, 462),
+		workload.BubbleSort(5), workload.Collatz(7), workload.MemCopy(8),
+	}
+	nsites := len(fault.AllSites())
+	f.Fuzz(func(t *testing.T, k, window, shape, site uint8, cycle int64, slot int32,
+		bit, op, reg uint8, dur int64, detect uint8) {
+		wl := kernels[int(k)%len(kernels)]
+		w := 1 << (int(window) % 6) // 1..32: every shape's granularity divides it
+		g := []int{1, w, max(w/4, 1)}[int(shape)%3]
+		cfg := Config{Window: w, Granularity: g}
+		clean, err := Run(wl.Prog, wl.Mem(), cfg)
+		if err != nil {
+			t.Fatalf("clean run: %v", err)
+		}
+		cfg.MaxCycles = clean.Stats.Cycles*64 + 4096
+		cfg.FaultDetect = fault.Detect(int(detect) % 3)
+		if cycle < 0 {
+			cycle = -cycle
+		}
+		fl := fault.Fault{
+			Site: fault.Site(int(site) % nsites), Cycle: cycle % (clean.Stats.Cycles + 8),
+			Slot: slot & 0xffff, Bit: bit, Op: op % 2, Reg: reg, Dur: dur % 256,
+		}
+		landed, err := ScreenFaults(nil, wl.Prog, wl.Mem(), cfg, []fault.Fault{fl})
+		if err != nil {
+			t.Fatalf("screen: %v", err)
+		}
+		log := &fault.Log{}
+		cfg.FaultPlan, cfg.FaultLog = &fault.Plan{Faults: []fault.Fault{fl}}, log
+		res, err := Run(wl.Prog, wl.Mem(), cfg)
+		if landed[0] {
+			if log.Applied < 1 {
+				t.Fatalf("screen kept %+v but it never landed", fl)
+			}
+			return
+		}
+		switch {
+		case err != nil:
+			t.Fatalf("screen rejected %+v but the run failed: %v", fl, err)
+		case log.Applied != 0 || log.WatchdogFires != 0 || log.SquashedStations != 0:
+			t.Fatalf("screen rejected %+v but the run logged %+v", fl, log)
+		case res.Stats.Cycles != clean.Stats.Cycles || res.Stats.Retired != clean.Stats.Retired ||
+			res.Stats.Fetched != clean.Stats.Fetched:
+			t.Fatalf("screen rejected %+v but the run differs from the clean run: %+v vs %+v",
+				fl, res.Stats, clean.Stats)
+		}
+	})
 }

@@ -25,6 +25,9 @@ package core
 // bitmap bits directly, the same state the word-level phases scan.
 
 import (
+	"context"
+	"sort"
+
 	"ultrascalar/internal/fault"
 	"ultrascalar/internal/isa"
 	"ultrascalar/internal/memory"
@@ -73,6 +76,18 @@ type faultState struct {
 
 	applied            int // faults that landed on live state
 	watchdogRecoveries int
+
+	// probe, when set, puts the state in probe mode (ScreenFaults): each
+	// scheduled fault is tested against faultLands at its cycle and
+	// nothing is ever mutated, so the run stays the clean run.
+	probe *faultProbe
+}
+
+// faultProbe records, for ScreenFaults, which scheduled faults would land.
+type faultProbe struct {
+	order  []int  // plan position -> index into the caller's fault list
+	landed []bool // by caller index
+	holds  []int  // plan positions of ready-stuck0 faults still in their hold window
 }
 
 // newFaultState arms injection for one run.
@@ -84,16 +99,58 @@ func newFaultState(prog []isa.Inst, mem *memory.Flat, cfg Config) *faultState {
 	return f
 }
 
+// ScreenFaults reports, for each fault, whether it lands on live state
+// when it is the only fault of a run of prog on mem under cfg; a fault
+// that does not land leaves that run identical to the clean run. It is
+// defined for single-fault plans only: once one fault lands, the state
+// every later fault would meet is no longer the clean run's.
+//
+// One probe run decides every fault. It carries a fault state, so it
+// takes the same full-rescan forwarding path as a faulted run, but in
+// probe mode: at each fault's cycle it evaluates the landing predicate
+// the injector uses (for ready-stuck0, on every cycle of the hold) and
+// never mutates anything. cfg's fault plan, detection and log are
+// ignored; mem is mutated as by Run.
+func ScreenFaults(ctx context.Context, prog []isa.Inst, mem *memory.Flat, cfg Config, faults []fault.Fault) ([]bool, error) {
+	p := &faultProbe{order: make([]int, len(faults)), landed: make([]bool, len(faults))}
+	if len(faults) == 0 {
+		return p.landed, nil
+	}
+	for i := range p.order {
+		p.order[i] = i
+	}
+	// The injector walks the plan in cycle order.
+	sort.SliceStable(p.order, func(a, b int) bool { return faults[p.order[a]].Cycle < faults[p.order[b]].Cycle })
+	plan := &fault.Plan{Faults: make([]fault.Fault, len(faults))}
+	for k, i := range p.order {
+		plan.Faults[k] = faults[i]
+	}
+	cfg.FaultPlan, cfg.FaultDetect, cfg.FaultLog = plan, fault.DetectNone, nil
+	if _, err := runCtx(ctx, prog, mem, cfg, p); err != nil {
+		return nil, err
+	}
+	return p.landed, nil
+}
+
 // faultCycle applies this cycle's scheduled faults and re-asserts active
 // stuck-at-0 holds. It runs from the Run loop, after the forwarding scan
 // latched operand state and before execute consumes it.
 func (e *engine) faultCycle() {
 	f := e.flt
+	if f.probe != nil {
+		f.probeCycle(e)
+		return
+	}
 	f.tickStuck(e)
 	for f.next < len(f.plan.Faults) && f.plan.Faults[f.next].Cycle <= e.cycle {
 		e.applyFault(f.plan.Faults[f.next])
 		f.next++
 	}
+}
+
+// holdUntil is the first cycle a ready-stuck0 fault's latch is released.
+func holdUntil(fl fault.Fault) int64 {
+	return fl.Cycle + max(fl.Dur, 1)
 }
 
 // tickStuck re-asserts every armed stuck-at-0 hold (the latch is pinned,
@@ -103,7 +160,6 @@ func (f *faultState) tickStuck(e *engine) {
 	if len(f.stuck) == 0 {
 		return
 	}
-	st := &e.st
 	kept := f.stuck[:0]
 	for _, h := range f.stuck {
 		if e.cycle >= h.until {
@@ -111,140 +167,152 @@ func (f *faultState) tickStuck(e *engine) {
 			e.fwdDirty = true
 			continue
 		}
-		slot := int(h.f.Slot) % e.cfg.Window
-		if st.busy.get(slot) && !st.started.get(slot) && st.ready.get(slot) {
-			st.ready.clear(slot)
-			if !h.applied {
-				h.applied = true
-				e.faultApplied(h.f, slot)
-			}
-		}
+		e.holdReady(&h)
 		kept = append(kept, h)
 	}
 	f.stuck = kept
 }
 
-// applyFault lands one scheduled fault on the microarchitecture, or lets
-// it fall vacuous when the target is empty or ineligible (slot free,
-// instruction already issued, operand not read).
+// holdReady forces a held station's ready latch low this cycle, if the
+// hold's fault lands now.
+func (e *engine) holdReady(h *stuckHold) {
+	slot, ok := e.faultLands(h.f)
+	if !ok {
+		return
+	}
+	e.st.ready.clear(slot)
+	if !h.applied {
+		h.applied = true
+		e.faultApplied(h.f, slot)
+	}
+}
+
+// probeCycle is faultCycle in probe mode: it records which faults would
+// land this cycle and mutates nothing. A ready-stuck0 fault is tested on
+// every cycle of its hold window, as tickStuck would re-assert it.
+func (f *faultState) probeCycle(e *engine) {
+	p := f.probe
+	for f.next < len(f.plan.Faults) && f.plan.Faults[f.next].Cycle <= e.cycle {
+		p.holds = append(p.holds, f.next)
+		f.next++
+	}
+	kept := p.holds[:0]
+	for _, k := range p.holds {
+		fl := f.plan.Faults[k]
+		if _, ok := e.faultLands(fl); ok {
+			p.landed[p.order[k]] = true
+		} else if fl.Site == fault.SiteReadyStuck0 && e.cycle+1 < holdUntil(fl) {
+			kept = append(kept, k)
+		}
+	}
+	p.holds = kept
+}
+
+// faultLands is the read-only landing predicate shared by injection and
+// screening: it reports whether fl, struck now, would change live state,
+// and the slot it strikes (-1 for register-scoped sites like the
+// merge-node fault). A fault falls vacuous when its target is empty or
+// ineligible: slot free, instruction already issued, operand not read.
+func (e *engine) faultLands(fl fault.Fault) (slot int, ok bool) {
+	st := &e.st
+	if fl.Site == fault.SiteMergeBit {
+		reg := fl.Reg % uint8(e.cfg.NumRegs)
+		for i := 0; i < e.occ; i++ {
+			if ra, rb := e.mergeReads(e.slotAt(i), reg); ra || rb {
+				return -1, true
+			}
+		}
+		return -1, false
+	}
+	slot = int(fl.Slot) % e.cfg.Window
+	if !st.busy.get(slot) {
+		return slot, false // no live station in the target slot
+	}
+	switch fl.Site {
+	case fault.SiteResultBit:
+		return slot, st.done.get(slot) // a completed result is circulating
+	case fault.SiteReadyStuck0:
+		return slot, !st.started.get(slot) && st.ready.get(slot)
+	case fault.SiteReadyStuck1:
+		return slot, !st.started.get(slot) && !st.ready.get(slot)
+	case fault.SiteOperandBit, fault.SiteDropForward, fault.SiteDupForward:
+		// The operand is latched, not yet consumed, and actually read.
+		return slot, !st.started.get(slot) && st.ready.get(slot) && int(fl.Op) < int(st.nsrc[slot])
+	}
+	return slot, false
+}
+
+// mergeReads reports which operands of the station in slot t latch reg
+// this cycle through the CSPP merge nodes: only unissued stations latch.
+func (e *engine) mergeReads(t int, reg uint8) (a, b bool) {
+	st := &e.st
+	if st.started.get(t) {
+		return false, false
+	}
+	nr := int(st.nsrc[t])
+	return nr >= 1 && st.r1[t] == reg, nr >= 2 && st.r2[t] == reg
+}
+
+// applyFault lands one scheduled fault on the microarchitecture when
+// faultLands says it lands, and otherwise lets it fall vacuous.
 func (e *engine) applyFault(fl fault.Fault) {
+	if fl.Site == fault.SiteReadyStuck0 {
+		// Arm the hold; the per-cycle re-assert already ran, so force the
+		// first cycle of the hold here.
+		h := stuckHold{f: fl, until: holdUntil(fl)}
+		e.holdReady(&h)
+		e.flt.stuck = append(e.flt.stuck, h)
+		return
+	}
+	slot, ok := e.faultLands(fl)
+	if !ok {
+		return
+	}
 	st := &e.st
 	bit := isa.Word(1) << (fl.Bit % 32)
-	slot := int(fl.Slot) % e.cfg.Window
 
 	switch fl.Site {
 	case fault.SiteMergeBit:
 		// A CSPP merge node for one register fails: every station latching
 		// that register this cycle receives the corrupted value.
 		reg := fl.Reg % uint8(e.cfg.NumRegs)
-		hit := false
 		for i := 0; i < e.occ; i++ {
 			t := e.slotAt(i)
-			if st.started.get(t) {
-				continue
-			}
-			nr := int(st.nsrc[t])
-			if nr >= 1 && st.r1[t] == reg {
+			ra, rb := e.mergeReads(t, reg)
+			if ra {
 				st.a[t] ^= bit
-				hit = true
 			}
-			if nr >= 2 && st.r2[t] == reg {
+			if rb {
 				st.b[t] ^= bit
-				hit = true
 			}
 		}
-		if hit {
-			e.faultApplied(fl, -1)
-		}
-		return
 
-	case fault.SiteReadyStuck0:
-		dur := fl.Dur
-		if dur < 1 {
-			dur = 1
-		}
-		h := stuckHold{f: fl, until: fl.Cycle + dur}
-		// The per-cycle re-assert already ran, so force the first cycle of
-		// the hold here.
-		if st.busy.get(slot) && !st.started.get(slot) && st.ready.get(slot) {
-			st.ready.clear(slot)
-			h.applied = true
-			e.faultApplied(fl, slot)
-		}
-		e.flt.stuck = append(e.flt.stuck, h)
-		return
-	}
-
-	if !st.busy.get(slot) {
-		return // vacuous: no live station in the target slot
-	}
-
-	switch fl.Site {
 	case fault.SiteResultBit:
-		if !st.done.get(slot) {
-			return // no completed result circulating yet
-		}
 		st.result[slot] ^= bit
 		st.parityBad.set(slot) // the latched parity no longer matches
 		e.fwdDirty = true      // the corrupt value re-drives the CSPP wires
-		e.faultApplied(fl, slot)
 
 	case fault.SiteOperandBit:
-		if st.started.get(slot) || !st.ready.get(slot) {
-			return
-		}
-		if int(fl.Op) >= int(st.nsrc[slot]) {
-			return // the instruction does not read that operand
-		}
 		if fl.Op == 0 {
 			st.a[slot] ^= bit
 		} else {
 			st.b[slot] ^= bit
 		}
-		e.faultApplied(fl, slot)
 
 	case fault.SiteReadyStuck1:
-		if st.started.get(slot) || st.ready.get(slot) {
-			return
-		}
 		st.ready.set(slot) // issues now, with stale latched operands
-		e.faultApplied(fl, slot)
 
 	case fault.SiteDropForward:
-		if st.started.get(slot) || !st.ready.get(slot) {
-			return
-		}
-		if int(fl.Op) >= int(st.nsrc[slot]) {
-			return
-		}
-		r := st.r1[slot]
-		if fl.Op == 1 {
-			r = st.r2[slot]
-		}
 		// The nearest-producer forward is dropped; the station latches the
 		// stale committed register value, as if the segment bit failed open.
-		if fl.Op == 0 {
-			st.a[slot] = e.commit[r]
-		} else {
-			st.b[slot] = e.commit[r]
-		}
-		e.faultApplied(fl, slot)
+		e.setOperand(slot, fl.Op, e.commit[e.operandReg(slot, fl.Op)])
 
 	case fault.SiteDupForward:
-		if st.started.get(slot) || !st.ready.get(slot) {
-			return
-		}
-		if int(fl.Op) >= int(st.nsrc[slot]) {
-			return
-		}
-		r := st.r1[slot]
-		if fl.Op == 1 {
-			r = st.r2[slot]
-		}
 		// A stale merge output wins the wired-OR: the station latches the
 		// value of the producer BEFORE its nearest one — the second-closest
 		// older in-window writer of the register, or the committed file
 		// when there is no such writer (or its value is still unknown).
+		r := e.operandReg(slot, fl.Op)
 		v := e.commit[r]
 		seen := 0
 		for j := e.occ - 1; j >= 0; j-- {
@@ -260,12 +328,25 @@ func (e *engine) applyFault(fl fault.Fault) {
 				break
 			}
 		}
-		if fl.Op == 0 {
-			st.a[slot] = v
-		} else {
-			st.b[slot] = v
-		}
-		e.faultApplied(fl, slot)
+		e.setOperand(slot, fl.Op, v)
+	}
+	e.faultApplied(fl, slot)
+}
+
+// operandReg is the source register of operand op (0 or 1) of slot.
+func (e *engine) operandReg(slot int, op uint8) uint8 {
+	if op == 1 {
+		return e.st.r2[slot]
+	}
+	return e.st.r1[slot]
+}
+
+// setOperand overwrites the latched value of operand op of slot.
+func (e *engine) setOperand(slot int, op uint8, v isa.Word) {
+	if op == 0 {
+		e.st.a[slot] = v
+	} else {
+		e.st.b[slot] = v
 	}
 }
 

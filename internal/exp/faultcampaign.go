@@ -367,36 +367,35 @@ func RunFaultCampaignCtx(ctx context.Context, cfg FaultCampaignConfig) (*fault.R
 	return rep, nil
 }
 
-// runShard runs one shard's N injection trials through the sweep pool,
-// bounded by ctx (nil = unbounded).
+// runShard runs one shard's N injection trials, bounded by ctx (nil =
+// unbounded). It builds every trial's single-fault plan, screens them
+// all with one probe run, classifies the trials whose fault never lands
+// as vacuous without running them — such a run is the clean run, so it
+// cannot crash, fire the watchdog or squash — and sends only the landed
+// trials through the sweep pool.
 func runShard(ctx context.Context, sh faultShard, cfg FaultCampaignConfig, ecfg core.Config,
 	clean *core.Result, golden *ref.Result) (fault.Cell, error) {
-	maxCycle := clean.Stats.Cycles - 1
-	if maxCycle < 1 {
-		maxCycle = 1
+	ecfg = trialConfig(ecfg, cfg.Detect, clean)
+	plans := shardPlans(sh, cfg, ecfg, clean)
+	faults := make([]fault.Fault, len(plans))
+	for i, pl := range plans {
+		faults[i] = pl.Faults[0]
 	}
-	// Generous ceiling: a recovered run costs extra cycles, never orders
-	// of magnitude; anything beyond this is a genuine runaway (crash).
-	ecfg.MaxCycles = clean.Stats.Cycles*64 + 4096
-	ecfg.FaultDetect = cfg.Detect
-
-	nregs := ecfg.NumRegs
-	if nregs == 0 {
-		nregs = isa.NumRegs
+	landed, err := core.ScreenFaults(ctx, sh.wl.Prog, sh.wl.Mem(), ecfg, faults)
+	if err != nil {
+		return fault.Cell{}, fmt.Errorf("exp: shard %s: screen: %w", sh.key(), err)
 	}
-	idx := make([]int, cfg.N)
-	for i := range idx {
-		idx[i] = i
+	points := make([]faultPoint, len(plans))
+	var live []int
+	for i, ok := range landed {
+		if ok {
+			live = append(live, i)
+		} else {
+			points[i].out = fault.OutcomeVacuous
+		}
 	}
-	points, err := parMapCtx(ctx, idx, func(i int) (faultPoint, error) {
-		plan := fault.NewPlan(pointSeed(cfg.Seed, sh.key(), i), fault.GenParams{
-			Window: cfg.Window, NumRegs: nregs, MaxCycle: maxCycle,
-			Sites: []fault.Site{sh.site}, N: 1,
-		})
-		log := &fault.Log{}
-		run := ecfg
-		run.FaultPlan, run.FaultLog = plan, log
-		res, rerr := core.RunCtx(ctx, sh.wl.Prog, sh.wl.Mem(), run)
+	ran, err := parMapCtx(ctx, live, func(i int) (faultPoint, error) {
+		res, log, rerr := runTrial(ctx, sh.wl, ecfg, plans[i])
 		// A canceled trial is not a crash outcome: it says nothing about
 		// the fault's effect, so it must abort the shard rather than be
 		// misclassified into the report.
@@ -414,6 +413,9 @@ func runShard(ctx context.Context, sh faultShard, cfg FaultCampaignConfig, ecfg 
 	})
 	if err != nil {
 		return fault.Cell{}, fmt.Errorf("exp: shard %s: %w", sh.key(), err)
+	}
+	for k, i := range live {
+		points[i] = ran[k]
 	}
 
 	cell := fault.Cell{Arch: sh.arch + "/" + sh.wl.Name, Site: sh.site.String(), Points: cfg.N}
@@ -441,6 +443,44 @@ func runShard(ctx context.Context, sh faultShard, cfg FaultCampaignConfig, ecfg 
 		cell.SquashedStations += p.squashed
 	}
 	return cell, nil
+}
+
+// trialConfig is the engine configuration every trial of a shard runs
+// under: the architecture's, with the detection model and a generous
+// cycle ceiling — a recovered run costs extra cycles, never orders of
+// magnitude, so anything beyond it is a genuine runaway (crash).
+func trialConfig(ecfg core.Config, detect fault.Detect, clean *core.Result) core.Config {
+	ecfg.MaxCycles = clean.Stats.Cycles*64 + 4096
+	ecfg.FaultDetect = detect
+	return ecfg
+}
+
+// shardPlans draws the shard's N single-fault plans. Injection cycles
+// fall inside the clean run, and each plan's seed is a pure function of
+// the campaign seed and the point's identity (pointSeed).
+func shardPlans(sh faultShard, cfg FaultCampaignConfig, ecfg core.Config, clean *core.Result) []*fault.Plan {
+	maxCycle := max(clean.Stats.Cycles-1, 1)
+	nregs := ecfg.NumRegs
+	if nregs == 0 {
+		nregs = isa.NumRegs
+	}
+	plans := make([]*fault.Plan, cfg.N)
+	for i := range plans {
+		plans[i] = fault.NewPlan(pointSeed(cfg.Seed, sh.key(), i), fault.GenParams{
+			Window: cfg.Window, NumRegs: nregs, MaxCycle: maxCycle,
+			Sites: []fault.Site{sh.site}, N: 1,
+		})
+	}
+	return plans
+}
+
+// runTrial runs one injection trial in full on a fresh copy of the
+// workload's memory.
+func runTrial(ctx context.Context, wl workload.Workload, ecfg core.Config, plan *fault.Plan) (*core.Result, *fault.Log, error) {
+	log := &fault.Log{}
+	ecfg.FaultPlan, ecfg.FaultLog = plan, log
+	res, err := core.RunCtx(ctx, wl.Prog, wl.Mem(), ecfg)
+	return res, log, err
 }
 
 // The checkpoint file is JSONL: a header line binding the campaign

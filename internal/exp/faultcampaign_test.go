@@ -3,13 +3,16 @@ package exp
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"ultrascalar/internal/core"
 	"ultrascalar/internal/fault"
+	"ultrascalar/internal/obs"
 	obslog "ultrascalar/internal/obs/log"
 	"ultrascalar/internal/workload"
 )
@@ -332,5 +335,108 @@ func TestFaultCampaignCheckpointOversizedLine(t *testing.T) {
 	resumed.Resumed = 0
 	if got := renderReport(t, resumed); got != want {
 		t.Error("report after oversized-line resume diverges from reference")
+	}
+}
+
+// TestScreenMatchesFullRun checks campaign screening against the real
+// engine: over seeds {1, 5, -7} × detection {none, parity, golden} ×
+// window {8, 16}, every trial of every architecture, workload and site
+// runs in full, whether the screen kept it or not. A trial the screen
+// rejects must be the clean run — nothing applied, no watchdog fire, no
+// squash, no error, the clean run's cycle, retired and fetched counts —
+// and a trial it keeps must land. Budget: 18,144 trials (N = 16, 4 with
+// -short), about 2 s at GOMAXPROCS=1.
+func TestScreenMatchesFullRun(t *testing.T) {
+	n := 16
+	if testing.Short() {
+		n = 4
+	}
+	kept, rejected := 0, 0
+	for _, seed := range []int64{1, 5, -7} {
+		for _, detect := range []fault.Detect{fault.DetectNone, fault.DetectParity, fault.DetectGolden} {
+			for _, window := range []int{8, 16} {
+				cfg := FaultCampaignConfig{Seed: seed, Window: window, N: n, Detect: detect}
+				for _, arch := range FaultArchs {
+					ecfg, err := ArchConfig(arch, window, max(window/4, 1))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, wl := range FaultWorkloads() {
+						clean, err := core.Run(wl.Prog, wl.Mem(), ecfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						tcfg := trialConfig(ecfg, detect, clean)
+						for _, site := range fault.AllSites() {
+							sh := faultShard{arch: arch, wl: wl, site: site}
+							plans := shardPlans(sh, cfg, tcfg, clean)
+							faults := make([]fault.Fault, len(plans))
+							for i, pl := range plans {
+								faults[i] = pl.Faults[0]
+							}
+							landed, err := core.ScreenFaults(nil, wl.Prog, wl.Mem(), tcfg, faults)
+							if err != nil {
+								t.Fatalf("%s/%s seed %d: screen: %v", sh.key(), detect, seed, err)
+							}
+							for i, pl := range plans {
+								res, log, err := runTrial(nil, wl, tcfg, pl)
+								where := func() string {
+									return fmt.Sprintf("%s/%s seed %d window %d trial %d\n%s",
+										sh.key(), detect, seed, window, i, pl.Encode())
+								}
+								if landed[i] {
+									kept++
+									if log.Applied < 1 {
+										t.Fatalf("%s: screen kept a fault that never landed", where())
+									}
+									continue
+								}
+								rejected++
+								switch {
+								case err != nil:
+									t.Fatalf("%s: screened out, yet the run failed: %v", where(), err)
+								case log.Applied != 0 || log.WatchdogFires != 0 || log.SquashedStations != 0:
+									t.Fatalf("%s: screened out, yet the run logged %+v", where(), log)
+								case res.Stats.Cycles != clean.Stats.Cycles || res.Stats.Retired != clean.Stats.Retired ||
+									res.Stats.Fetched != clean.Stats.Fetched:
+									t.Fatalf("%s: screened out, yet cycles/retired/fetched = %d/%d/%d, clean %d/%d/%d",
+										where(), res.Stats.Cycles, res.Stats.Retired, res.Stats.Fetched,
+										clean.Stats.Cycles, clean.Stats.Retired, clean.Stats.Fetched)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if kept == 0 || rejected == 0 {
+		t.Fatalf("screen kept %d and rejected %d trials; the grid must exercise both", kept, rejected)
+	}
+}
+
+// TestCampaignRunsOnlyLandedTrials guards the screen against being
+// switched off silently, which every byte-identity gate would miss: the
+// sweep pool must run exactly the trials whose fault lands — every
+// point the report does not call vacuous — and not all N per shard.
+func TestCampaignRunsOnlyLandedTrials(t *testing.T) {
+	reg := obs.NewRegistry()
+	SetPoolMetrics(reg)
+	defer SetPoolMetrics(nil)
+	cfg := testCampaign()
+	rep, err := RunFaultCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	landed, total := 0, 0
+	for _, c := range rep.Cells {
+		landed += c.Points - c.Vacuous
+		total += c.Points
+	}
+	if landed == total {
+		t.Fatalf("every one of %d trials landed; the campaign cannot tell a screened run from an unscreened one", total)
+	}
+	if got := reg.Histogram("exp.task_ms", nil).Count(); got != int64(landed) {
+		t.Fatalf("pool ran %d trials, want the %d landed ones (of %d)", got, landed, total)
 	}
 }
