@@ -85,9 +85,9 @@ type faultState struct {
 
 // faultProbe records, for ScreenFaults, which scheduled faults would land.
 type faultProbe struct {
-	order  []int  // plan position -> index into the caller's fault list
-	landed []bool // by caller index
-	holds  []int  // plan positions of ready-stuck0 faults still in their hold window
+	order   []int  // plan position -> index into the caller's fault list
+	landed  []bool // by caller index
+	pending []int  // plan positions still to test: each fault at its cycle, ready-stuck0 through its hold
 }
 
 // newFaultState arms injection for one run.
@@ -193,11 +193,11 @@ func (e *engine) holdReady(h *stuckHold) {
 func (f *faultState) probeCycle(e *engine) {
 	p := f.probe
 	for f.next < len(f.plan.Faults) && f.plan.Faults[f.next].Cycle <= e.cycle {
-		p.holds = append(p.holds, f.next)
+		p.pending = append(p.pending, f.next)
 		f.next++
 	}
-	kept := p.holds[:0]
-	for _, k := range p.holds {
+	kept := p.pending[:0]
+	for _, k := range p.pending {
 		fl := f.plan.Faults[k]
 		if _, ok := e.faultLands(fl); ok {
 			p.landed[p.order[k]] = true
@@ -205,7 +205,7 @@ func (f *faultState) probeCycle(e *engine) {
 			kept = append(kept, k)
 		}
 	}
-	p.holds = kept
+	p.pending = kept
 }
 
 // faultLands is the read-only landing predicate shared by injection and

@@ -376,16 +376,12 @@ func RunFaultCampaignCtx(ctx context.Context, cfg FaultCampaignConfig) (*fault.R
 func runShard(ctx context.Context, sh faultShard, cfg FaultCampaignConfig, ecfg core.Config,
 	clean *core.Result, golden *ref.Result) (fault.Cell, error) {
 	ecfg = trialConfig(ecfg, cfg.Detect, clean)
-	plans := shardPlans(sh, cfg, ecfg, clean)
-	faults := make([]fault.Fault, len(plans))
-	for i, pl := range plans {
-		faults[i] = pl.Faults[0]
-	}
+	faults := shardFaults(sh, cfg, ecfg, clean)
 	landed, err := core.ScreenFaults(ctx, sh.wl.Prog, sh.wl.Mem(), ecfg, faults)
 	if err != nil {
 		return fault.Cell{}, fmt.Errorf("exp: shard %s: screen: %w", sh.key(), err)
 	}
-	points := make([]faultPoint, len(plans))
+	points := make([]faultPoint, len(faults))
 	var live []int
 	for i, ok := range landed {
 		if ok {
@@ -395,7 +391,7 @@ func runShard(ctx context.Context, sh faultShard, cfg FaultCampaignConfig, ecfg 
 		}
 	}
 	ran, err := parMapCtx(ctx, live, func(i int) (faultPoint, error) {
-		res, log, rerr := runTrial(ctx, sh.wl, ecfg, plans[i])
+		res, log, rerr := runTrial(ctx, sh.wl, ecfg, faults[i])
 		// A canceled trial is not a crash outcome: it says nothing about
 		// the fault's effect, so it must abort the shard rather than be
 		// misclassified into the report.
@@ -455,30 +451,31 @@ func trialConfig(ecfg core.Config, detect fault.Detect, clean *core.Result) core
 	return ecfg
 }
 
-// shardPlans draws the shard's N single-fault plans. Injection cycles
-// fall inside the clean run, and each plan's seed is a pure function of
-// the campaign seed and the point's identity (pointSeed).
-func shardPlans(sh faultShard, cfg FaultCampaignConfig, ecfg core.Config, clean *core.Result) []*fault.Plan {
+// shardFaults draws the one fault of each of the shard's N trials.
+// Injection cycles fall inside the clean run, and each trial's plan seed
+// is a pure function of the campaign seed and the point's identity
+// (pointSeed).
+func shardFaults(sh faultShard, cfg FaultCampaignConfig, ecfg core.Config, clean *core.Result) []fault.Fault {
 	maxCycle := max(clean.Stats.Cycles-1, 1)
 	nregs := ecfg.NumRegs
 	if nregs == 0 {
 		nregs = isa.NumRegs
 	}
-	plans := make([]*fault.Plan, cfg.N)
-	for i := range plans {
-		plans[i] = fault.NewPlan(pointSeed(cfg.Seed, sh.key(), i), fault.GenParams{
+	faults := make([]fault.Fault, cfg.N)
+	for i := range faults {
+		faults[i] = fault.NewPlan(pointSeed(cfg.Seed, sh.key(), i), fault.GenParams{
 			Window: cfg.Window, NumRegs: nregs, MaxCycle: maxCycle,
 			Sites: []fault.Site{sh.site}, N: 1,
-		})
+		}).Faults[0]
 	}
-	return plans
+	return faults
 }
 
-// runTrial runs one injection trial in full on a fresh copy of the
-// workload's memory.
-func runTrial(ctx context.Context, wl workload.Workload, ecfg core.Config, plan *fault.Plan) (*core.Result, *fault.Log, error) {
+// runTrial runs one injection trial — fl as the only fault — in full on
+// a fresh copy of the workload's memory.
+func runTrial(ctx context.Context, wl workload.Workload, ecfg core.Config, fl fault.Fault) (*core.Result, *fault.Log, error) {
 	log := &fault.Log{}
-	ecfg.FaultPlan, ecfg.FaultLog = plan, log
+	ecfg.FaultPlan, ecfg.FaultLog = &fault.Plan{Faults: []fault.Fault{fl}}, log
 	res, err := core.RunCtx(ctx, wl.Prog, wl.Mem(), ecfg)
 	return res, log, err
 }

@@ -369,20 +369,16 @@ func TestScreenMatchesFullRun(t *testing.T) {
 						tcfg := trialConfig(ecfg, detect, clean)
 						for _, site := range fault.AllSites() {
 							sh := faultShard{arch: arch, wl: wl, site: site}
-							plans := shardPlans(sh, cfg, tcfg, clean)
-							faults := make([]fault.Fault, len(plans))
-							for i, pl := range plans {
-								faults[i] = pl.Faults[0]
-							}
+							faults := shardFaults(sh, cfg, tcfg, clean)
 							landed, err := core.ScreenFaults(nil, wl.Prog, wl.Mem(), tcfg, faults)
 							if err != nil {
 								t.Fatalf("%s/%s seed %d: screen: %v", sh.key(), detect, seed, err)
 							}
-							for i, pl := range plans {
-								res, log, err := runTrial(nil, wl, tcfg, pl)
+							for i, fl := range faults {
+								res, log, err := runTrial(nil, wl, tcfg, fl)
 								where := func() string {
-									return fmt.Sprintf("%s/%s seed %d window %d trial %d\n%s",
-										sh.key(), detect, seed, window, i, pl.Encode())
+									return fmt.Sprintf("%s/%s seed %d window %d trial %d: %+v",
+										sh.key(), detect, seed, window, i, fl)
 								}
 								if landed[i] {
 									kept++
