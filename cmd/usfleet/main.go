@@ -4,8 +4,8 @@
 // the leases, retries failures behind capped exponential backoff with
 // full jitter, circuit-breaks workers that keep failing, hedges
 // straggler shards onto idle workers (first result wins, losers are
-// cancelled), and checkpoints every merged result crash-atomically —
-// a SIGKILLed coordinator restarted with the same flags resumes
+// cancelled), and appends every merged result to a durable checkpoint
+// — a SIGKILLed coordinator restarted with the same flags resumes
 // without re-running completed shards. The merged report is
 // byte-identical to a single-process `usfault` run of the same
 // campaign, for any worker count and any crash/retry interleaving.
@@ -44,7 +44,7 @@ func main() {
 	window := flag.Int("window", 16, "station count n")
 	cluster := flag.Int("cluster", 0, "hybrid cluster size C (0 = window/4)")
 	trials := flag.Int("trials", 4, "injections per campaign cell")
-	checkpoint := flag.String("checkpoint", "", "coordinator checkpoint path (crash-atomic; empty = no resume)")
+	checkpoint := flag.String("checkpoint", "", "coordinator checkpoint path (fsynced per shard; empty = no resume)")
 	out := flag.String("out", "", "write the merged report here (atomic; empty = stdout)")
 	statusAddr := flag.String("status", "", "serve /status, /metrics and /healthz on this address (empty = off)")
 	lease := flag.Duration("lease", 2*time.Minute, "per-shard lease TTL; past it the shard is re-dispatched")

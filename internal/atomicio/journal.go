@@ -24,8 +24,10 @@ const (
 // Journal is an append-only file of newline-terminated records, each
 // made durable by one fsync. Appending costs one write and one fsync,
 // where WriteFile costs a create, fsync, rename and directory fsync, so
-// state that changes often (serve job records) is journaled and folded
-// into one record per key on read, the last record winning.
+// state that changes often is journaled and folded into one record per
+// key on read, the last record winning. Its two users are serve job
+// records and campaign checkpoints (exp.Checkpoint), which append one
+// record per completed shard.
 //
 // The file only ever holds complete records followed, after a crash,
 // by at most one torn record: Append writes at the end of the last

@@ -71,8 +71,9 @@ func TestCheckpointTornTailTolerated(t *testing.T) {
 		t.Errorf("report after torn-tail resume diverges:\n--- want ---\n%s--- got ---\n%s", want, got)
 	}
 
-	// The resume rewrote the file; a second resume must find every shard
-	// complete and parse cleanly end to end.
+	// The resume cut the torn tail off and re-appended that shard; a
+	// second resume must find every shard complete and parse cleanly end
+	// to end.
 	cached, err := RunFaultCampaign(cfg)
 	if err != nil {
 		t.Fatalf("second resume: %v", err)

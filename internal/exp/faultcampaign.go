@@ -2,18 +2,14 @@ package exp
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 
-	"ultrascalar/internal/atomicio"
 	"ultrascalar/internal/core"
 	"ultrascalar/internal/fault"
 	"ultrascalar/internal/hybrid"
 	"ultrascalar/internal/isa"
-	"ultrascalar/internal/obs"
 	obslog "ultrascalar/internal/obs/log"
 	"ultrascalar/internal/ref"
 	"ultrascalar/internal/ultra1"
@@ -264,14 +260,16 @@ func RunFaultCampaignCtx(ctx context.Context, cfg FaultCampaignConfig) (*fault.R
 		}
 	}
 
-	ck, err := openCheckpoint(cfg, archs, sites, wls)
+	ck, err := OpenCheckpoint(cfg.Checkpoint, fingerprint(cfg, archs, sites, wls))
 	if err != nil {
 		return nil, err
 	}
+	defer ck.Close()
+	done := ck.Cells()
 
 	rep := &fault.Report{
 		Seed: cfg.Seed, N: cfg.N, Window: cfg.Window,
-		Detect: cfg.Detect.String(), Shards: len(shards), Resumed: len(ck.done),
+		Detect: cfg.Detect.String(), Shards: len(shards), Resumed: len(done),
 	}
 
 	// Telemetry rides on the context: the serve layer roots a trace ID,
@@ -292,7 +290,7 @@ func RunFaultCampaignCtx(ctx context.Context, cfg FaultCampaignConfig) (*fault.R
 		cfg.Progress(0, len(shards))
 	}
 	lg.Info("campaign start",
-		obslog.Int("shards", len(shards)), obslog.Int("resumed", len(ck.done)),
+		obslog.Int("shards", len(shards)), obslog.Int("resumed", len(done)),
 		obslog.Int64("seed", cfg.Seed), obslog.Int("window", cfg.Window))
 
 	// Golden results are arch-independent; clean engine baselines are
@@ -316,7 +314,7 @@ func RunFaultCampaignCtx(ctx context.Context, cfg FaultCampaignConfig) (*fault.R
 	}
 
 	for _, sh := range shards {
-		if cell, ok := ck.done[sh.key()]; ok {
+		if cell, ok := done[sh.key()]; ok {
 			rep.Cells = append(rep.Cells, cell)
 			settle()
 			continue
@@ -324,7 +322,7 @@ func RunFaultCampaignCtx(ctx context.Context, cfg FaultCampaignConfig) (*fault.R
 		if ctx != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return nil, fmt.Errorf("exp: campaign stopped after %d/%d shards: %w",
-					len(ck.done), len(shards), cerr)
+					len(done), len(shards), cerr)
 			}
 		}
 		ecfg, err := ArchConfig(sh.arch, cfg.Window, cfg.Cluster)
@@ -350,7 +348,7 @@ func RunFaultCampaignCtx(ctx context.Context, cfg FaultCampaignConfig) (*fault.R
 		}
 		rep.Cells = append(rep.Cells, cell)
 		cksp := rec.Start(trace, "checkpoint", sh.key())
-		err = ck.record(sh.key(), cell)
+		err = ck.Record(sh.key(), cell)
 		cksp.End()
 		if err != nil {
 			return nil, err
@@ -480,26 +478,6 @@ func runTrial(ctx context.Context, wl workload.Workload, ecfg core.Config, fl fa
 	return res, log, err
 }
 
-// The checkpoint file is JSONL: a header line binding the campaign
-// configuration, then one line per completed shard. Resuming verifies the
-// header so a stale file from a differently-configured campaign fails
-// loudly instead of silently mixing results.
-
-type checkpointHeader struct {
-	Magic       string `json:"magic"`
-	Fingerprint string `json:"fingerprint"`
-}
-
-type checkpointLine struct {
-	Shard string     `json:"shard"`
-	Cell  fault.Cell `json:"cell"`
-}
-
-// v2: point seeds are keyed by shard identity (arch/workload/site)
-// instead of shard index, so v1 checkpoints hold cells a v2 campaign
-// would not reproduce; the magic bump makes them fail loudly.
-const checkpointMagic = "usfault-checkpoint/v2"
-
 // fingerprint binds a checkpoint to everything that shapes shard results.
 func fingerprint(cfg FaultCampaignConfig, archs []string, sites []fault.Site, wls []workload.Workload) string {
 	var b strings.Builder
@@ -520,103 +498,4 @@ func fingerprint(cfg FaultCampaignConfig, archs []string, sites []fault.Site, wl
 		b.WriteString(w.Name)
 	}
 	return b.String()
-}
-
-// checkpointer records completed shards; an empty path means
-// checkpointing is off. Every record rewrites the whole file through
-// atomicio.WriteFile, so a crash — even mid-write, even power loss —
-// leaves the previous complete checkpoint rather than a torn one. The
-// lines slice keeps the file's exact content in memory (header first),
-// which also keeps shard order stable across rewrites.
-type checkpointer struct {
-	path  string
-	lines []string
-	done  map[string]fault.Cell
-}
-
-// openCheckpoint loads any existing checkpoint (verifying its
-// fingerprint) and prepares the checkpointer for recording new shards.
-// A truncated final line — the signature of a crash mid-append under
-// the pre-atomic format, or of filesystem-level truncation — is
-// detected and dropped: that shard simply reruns. Corruption anywhere
-// else still fails loudly, since it cannot be explained by a torn tail.
-func openCheckpoint(cfg FaultCampaignConfig, archs []string, sites []fault.Site,
-	wls []workload.Workload) (*checkpointer, error) {
-	ck := &checkpointer{done: map[string]fault.Cell{}}
-	if cfg.Checkpoint == "" {
-		return ck, nil
-	}
-	ck.path = cfg.Checkpoint
-	fp := fingerprint(cfg, archs, sites, wls)
-	data, err := os.ReadFile(cfg.Checkpoint)
-	switch {
-	case os.IsNotExist(err):
-		hdr, _ := json.Marshal(checkpointHeader{Magic: checkpointMagic, Fingerprint: fp})
-		ck.lines = []string{string(hdr)}
-		if err := ck.flush(); err != nil {
-			return nil, err
-		}
-		return ck, nil
-	case err != nil:
-		return nil, fmt.Errorf("exp: reading checkpoint: %w", err)
-	}
-	var lines []string
-	// The shared big-buffer scanner: checkpoint records can exceed
-	// bufio.Scanner's default 64 KiB token cap.
-	sc := obs.NewLineScanner(strings.NewReader(string(data)))
-	for sc.Scan() {
-		if len(strings.TrimSpace(sc.Text())) > 0 {
-			lines = append(lines, sc.Text())
-		}
-	}
-	if len(lines) == 0 {
-		return nil, fmt.Errorf("exp: checkpoint %s is empty", cfg.Checkpoint)
-	}
-	var hdr checkpointHeader
-	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil || hdr.Magic != checkpointMagic {
-		return nil, fmt.Errorf("exp: %s is not a campaign checkpoint", cfg.Checkpoint)
-	}
-	if hdr.Fingerprint != fp {
-		return nil, fmt.Errorf("exp: checkpoint %s was written by a different campaign\n  have: %s\n  want: %s",
-			cfg.Checkpoint, hdr.Fingerprint, fp)
-	}
-	ck.lines = lines[:1]
-	for i, raw := range lines[1:] {
-		var line checkpointLine
-		if err := json.Unmarshal([]byte(raw), &line); err != nil {
-			if i == len(lines[1:])-1 {
-				break // torn tail: drop the partial shard, it reruns
-			}
-			return nil, fmt.Errorf("exp: corrupt checkpoint line %q: %w", raw, err)
-		}
-		ck.done[line.Shard] = line.Cell
-		ck.lines = append(ck.lines, raw)
-	}
-	// Rewrite immediately so a dropped torn tail does not linger on disk.
-	if err := ck.flush(); err != nil {
-		return nil, err
-	}
-	return ck, nil
-}
-
-// record persists one completed shard by atomically rewriting the file.
-func (c *checkpointer) record(key string, cell fault.Cell) error {
-	if c.path == "" {
-		return nil
-	}
-	line, err := json.Marshal(checkpointLine{Shard: key, Cell: cell})
-	if err != nil {
-		return err
-	}
-	c.lines = append(c.lines, string(line))
-	c.done[key] = cell
-	return c.flush()
-}
-
-// flush writes the in-memory checkpoint image to disk crash-atomically.
-func (c *checkpointer) flush() error {
-	if err := atomicio.WriteFile(c.path, []byte(strings.Join(c.lines, "\n")+"\n"), 0o644); err != nil {
-		return fmt.Errorf("exp: writing checkpoint: %w", err)
-	}
-	return nil
 }

@@ -23,9 +23,10 @@
 // full jitter; per-worker circuit breakers (the serve breaker, keyed
 // by worker URL) cool down a worker that keeps failing; and straggler
 // shards are hedged — re-dispatched to an idle worker, first result
-// wins, the loser is cancelled. Every merged result is written to a
-// crash-atomic checkpoint before the coordinator acts on it, so a
-// SIGKILLed coordinator resumes without re-running completed shards.
+// wins, the loser is cancelled. Every merged result is appended to the
+// campaign checkpoint (exp.Checkpoint) before the coordinator acts on
+// it, so a SIGKILLed coordinator resumes without re-running completed
+// shards.
 package fleet
 
 import (
@@ -49,6 +50,15 @@ type CampaignSpec struct {
 	Window  int   `json:"window"`
 	Cluster int   `json:"cluster"`
 	Trials  int   `json:"trials"`
+}
+
+// Fingerprint names the run manifest: every campaign parameter that
+// shapes results. Two runs share shard results exactly when their
+// fingerprints match; anything else is a different campaign and a
+// stale checkpoint must fail loudly, not merge silently.
+func (s CampaignSpec) Fingerprint() string {
+	return fmt.Sprintf("seed=%d n=%d window=%d cluster=%d detect=golden",
+		s.Seed, s.Trials, s.Window, s.Cluster)
 }
 
 // Config tunes the coordinator.
@@ -187,7 +197,7 @@ type Coordinator struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
 	shards    []*shardState
-	doneCells map[string]fault.Cell // checkpointed results by shard key
+	ckpt      *exp.Checkpoint // merged results by shard key
 	doneCount int
 	resumed   int
 	runErr    error
@@ -300,17 +310,17 @@ func (c *Coordinator) traceFor(key string, attempt int) obslog.TraceID {
 // crashes, retries or hedging.
 func (c *Coordinator) Run(ctx context.Context) (*fault.Report, error) {
 	shards := exp.CampaignShards()
-	done, err := loadCheckpoint(c.cfg.Checkpoint, c.cfg.Campaign)
+	ckpt, err := exp.OpenCheckpoint(c.cfg.Checkpoint, c.cfg.Campaign.Fingerprint())
 	if err != nil {
 		return nil, err
 	}
+	defer ckpt.Close()
 	c.mu.Lock()
-	c.doneCells = map[string]fault.Cell{}
+	c.ckpt = ckpt
 	for _, sh := range shards {
 		st := &shardState{shard: sh}
-		if cell, ok := done[sh.Key()]; ok {
+		if cell, ok := ckpt.Cells()[sh.Key()]; ok {
 			st.done, st.cell = true, cell
-			c.doneCells[sh.Key()] = cell
 			c.doneCount++
 			c.resumed++
 		}
@@ -750,9 +760,7 @@ func (c *Coordinator) merge(sh *shardState, l *lease, rec serve.Job, lg *obslog.
 	// Checkpoint before the result becomes visible: a coordinator
 	// killed between these two steps re-runs the shard (idempotent by
 	// key), never loses a merged result it acted on.
-	c.doneCells[sh.shard.Key()] = cell
-	if err := writeCheckpoint(c.cfg.Checkpoint, c.cfg.Campaign, c.doneCells); err != nil {
-		delete(c.doneCells, sh.shard.Key())
+	if err := c.ckpt.Record(sh.shard.Key(), cell); err != nil {
 		c.mu.Unlock()
 		c.fatal(err)
 		c.release(sh, l)

@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -146,23 +148,33 @@ func TestFleetResume(t *testing.T) {
 		t.Fatalf("resume should recover every shard from checkpoint, got %d/%d", st.Resumed, st.ShardsTotal)
 	}
 
-	// Partial checkpoint: drop some shards and resume against a real
-	// worker; only the dropped ones may be dispatched.
-	done, err := loadCheckpoint(ckpt, testSpec)
+	// Partial checkpoint: rewrite it without some shards and resume
+	// against a real worker; only the dropped ones may be dispatched.
+	old, err := exp.OpenCheckpoint(ckpt, testSpec.Fingerprint())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dropped := 0
-	for k := range done {
-		if dropped == 7 {
-			break
-		}
-		delete(done, k)
-		dropped++
-	}
-	if err := writeCheckpoint(ckpt, testSpec, done); err != nil {
+	done := old.Cells()
+	old.Close()
+	if err := os.Remove(ckpt); err != nil {
 		t.Fatal(err)
 	}
+	partial, err := exp.OpenCheckpoint(ckpt, testSpec.Fingerprint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(done))
+	for k := range done {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	const dropped = 7
+	for _, k := range keys[dropped:] {
+		if err := partial.Record(k, done[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	partial.Close()
 	cfg3 := fastConfig(newWorker(t))
 	cfg3.Checkpoint = ckpt
 	c3, got3 := runFleet(t, cfg3)
@@ -179,13 +191,61 @@ func TestFleetResume(t *testing.T) {
 // different campaign configuration must refuse to load.
 func TestFleetCheckpointFingerprintMismatch(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "fleet.ckpt")
-	if err := writeCheckpoint(ckpt, testSpec, map[string]fault.Cell{"a/b/c": {}}); err != nil {
+	ck, err := exp.OpenCheckpoint(ckpt, testSpec.Fingerprint())
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := ck.Record("a/b/c", fault.Cell{}); err != nil {
+		t.Fatal(err)
+	}
+	ck.Close()
 	other := testSpec
 	other.Seed++
-	if _, err := loadCheckpoint(ckpt, other); err == nil {
-		t.Fatal("loading a checkpoint with a mismatched fingerprint should fail")
+	cfg := fastConfig("http://127.0.0.1:1") // never contacted
+	cfg.Campaign, cfg.Checkpoint = other, ckpt
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "different campaign") {
+		t.Fatalf("resuming from a mismatched fingerprint: got %v, want a different-campaign refusal", err)
+	}
+}
+
+// TestFleetResumeTornTail: a coordinator killed mid-append leaves a
+// torn final record. The restarted coordinator drops it, re-dispatches
+// that one shard and still produces the reference report.
+func TestFleetResumeTornTail(t *testing.T) {
+	want := directReport(t)
+	ckpt := filepath.Join(t.TempDir(), "fleet.ckpt")
+	cfg := fastConfig(newWorker(t))
+	cfg.Checkpoint = ckpt
+	if _, got := runFleet(t, cfg); got != want {
+		t.Fatalf("first run diverges from direct report")
+	}
+	data, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckpt, data[:len(data)-5], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg2 := fastConfig(newWorker(t))
+	cfg2.Checkpoint = ckpt
+	c2, got := runFleet(t, cfg2)
+	if got != want {
+		t.Fatalf("torn-tail resume diverges from direct report")
+	}
+	if st := c2.Status(); st.Resumed != st.ShardsTotal-1 {
+		t.Fatalf("torn-tail resume: got %d resumed, want %d", st.Resumed, st.ShardsTotal-1)
+	}
+	after, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := bytes.Count(after, []byte("\n")), bytes.Count(data, []byte("\n")); got != want {
+		t.Fatalf("checkpoint has %d records after resume, want %d", got, want)
 	}
 }
 

@@ -11,8 +11,8 @@
 // deterministic text report — a function of the job's request alone —
 // so a job interrupted by SIGKILL and resumed on restart produces a
 // report byte-identical to an uninterrupted run (campaign jobs resume
-// from their crash-atomic shard checkpoints; sims and sweeps simply
-// rerun, which is free because they are pure).
+// from their shard checkpoints; sims and sweeps simply rerun, which is
+// free because they are pure).
 package serve
 
 import (
@@ -1173,7 +1173,7 @@ func (m *Manager) compute(ctx context.Context, job *Job, req JobRequest) (execRe
 			Sites:      sites,
 			Workloads:  wls,
 			Detect:     fault.DetectGolden,
-			Checkpoint: filepath.Join(m.cfg.Dir, "checkpoints", job.ID+".ckpt"),
+			Checkpoint: m.checkpointPath(job.ID),
 			Progress: func(done, total int) {
 				m.setProgress(job.ID, done, total)
 			},
@@ -1324,7 +1324,23 @@ func (m *Manager) persistLocked(job *Job) {
 	}
 	if err != nil {
 		m.persistFailed(job.ID, err)
+		return
 	}
+	// A campaign job whose terminal record is on disk never resumes, so
+	// its checkpoint goes; interrupted and queued jobs keep theirs. The
+	// remove's error is dropped: a file left by a failed remove, or by a
+	// crash before it, is stale and nothing reads it.
+	switch job.State {
+	case StateDone, StateFailed, StateCanceled:
+		if job.Request.Kind == "campaign" {
+			_ = os.Remove(m.checkpointPath(job.ID))
+		}
+	}
+}
+
+// checkpointPath is the shard checkpoint of campaign job id.
+func (m *Manager) checkpointPath(id string) string {
+	return filepath.Join(m.cfg.Dir, "checkpoints", id+".ckpt")
 }
 
 // persistFailed counts and logs a failed journal write.

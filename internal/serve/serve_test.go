@@ -386,6 +386,9 @@ func TestCampaignInterruptResumeByteIdentical(t *testing.T) {
 	if got, _ := m1.Get(job.ID); got.State != StateInterrupted {
 		t.Fatalf("job state after hard drain = %q, want interrupted", got.State)
 	}
+	if _, err := os.Stat(ckpt); err != nil {
+		t.Fatalf("interrupted job lost its checkpoint: %v", err)
+	}
 
 	// Restart on the same state dir: the job is recovered, resumes from
 	// the checkpoint, and finishes with the byte-identical report.
@@ -397,6 +400,30 @@ func TestCampaignInterruptResumeByteIdentical(t *testing.T) {
 	if resumed.Report != want.Report {
 		t.Errorf("resumed report diverges from uninterrupted run:\n--- want ---\n%s--- got ---\n%s",
 			want.Report, resumed.Report)
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Errorf("finished job kept its checkpoint (stat: %v)", err)
+	}
+}
+
+// TestFinishedCampaignLeavesNoCheckpoint: once a campaign job's
+// terminal record is in the job journal the job never resumes, so its
+// shard checkpoint is removed; a long-lived server must not gain one
+// file per campaign it has run.
+func TestFinishedCampaignLeavesNoCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	m := newTestManager(t, Config{Dir: dir, Workers: 1})
+	job, serr := m.Submit(JobRequest{Kind: "campaign", Window: 2, Trials: 1, Seed: 7, TimeoutMs: 120_000})
+	if serr != nil {
+		t.Fatalf("submit: %v", serr)
+	}
+	waitState(t, m, job.ID, StateDone)
+	ents, err := os.ReadDir(filepath.Join(dir, "checkpoints"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		t.Errorf("finished campaign left %s behind", e.Name())
 	}
 }
 
