@@ -54,9 +54,9 @@ type engine struct {
 	commit []isa.Word // committed register file (held by the oldest station)
 	// commitProducer holds, per register, the dynamic sequence number of
 	// the retired instruction that produced the committed value (-1 for
-	// initial values), for the operand-distance statistic and the
-	// self-timed forwarding model; commitDoneAt holds the cycle the value
-	// became visible.
+	// initial values), which fixes a fetched station's producer distance;
+	// commitDoneAt holds the cycle the value became visible, for the
+	// self-timed forwarding model.
 	commitProducer []int64
 	commitDoneAt   []int64
 
@@ -86,39 +86,23 @@ type engine struct {
 	traceBuild *tracecache.Builder
 	ras        *branch.RAS
 
-	// Forwarding scratch, reused every scan. fwdReady is the per-register
-	// availability mask — one bit per logical register (MaxRegs = 32 ≤ 64),
-	// updated with the same mask algebra as the station bitmaps.
-	fwdVals       []isa.Word
-	fwdWriter     []int64 // seq of the value's producer, -1 = initial
-	fwdWriterDone []int64 // cycle the value became visible
-	fwdReady      uint64
-	// fwdDirty marks that register-producer state changed since the last
-	// forwarding scan (completion, retirement, fetch, or squash). On clean
-	// cycles the scan's inputs are bit-identical to the previous cycle's,
-	// so forward() skips the full-window rescan. scanEveryCycle disables
-	// the fast path (used by the equivalence tests; also forced when
-	// ForwardLatency is set, since self-timed availability depends on the
-	// cycle number, not only on producer state).
-	fwdDirty       bool
-	scanEveryCycle bool
+	// fwdDirty marks that producer state or the window changed since the
+	// last forward (completion, fetch, or a fault site): the cycles on
+	// which a full CSPP rescan would see new inputs, and so the cycles
+	// forward's heal sweep runs (see forward). The livelock watchdog reads
+	// it as pending progress.
+	fwdDirty bool
 
-	// wake selects the wakeup-link forwarding mode (see forward): operands
-	// resolve to their producer once at fetch through regWriter — the
-	// rename table mapping each register to the slot of its newest live
-	// writer (-1 = committed file) — and the per-cycle scan only revisits
-	// stations still waiting on a producer. Fault campaigns and self-timed
-	// configurations keep the full scan, whose relatch-everything semantics
-	// they depend on.
-	wake      bool
+	// regWriter is the rename table: each register's newest live writer's
+	// slot, -1 when the committed file holds the newest value. Fetch reads
+	// it once per operand to fix the operand's producer (attachOperands).
 	regWriter [isa.MaxRegs]int32
 	// wakeN is the length of the completed-producer event queue
 	// (st.wakeSlot/st.wakeSeq): producers that completed since the last
 	// drain and had consumers linked on their list. forward drains it.
 	wakeN int
 	// fwdErr is a pending register-range error discovered while attaching
-	// operands at fetch; forward returns it at the same point in the cycle
-	// chain where the full scan would have detected it.
+	// operands at fetch; forward returns it at the next cycle's forward.
 	fwdErr error
 
 	// memoryPhase scratch, preallocated to the window size so the grant
@@ -246,24 +230,19 @@ func runCtx(ctx context.Context, prog []isa.Inst, mem *memory.Flat, cfg Config, 
 	// (the station file carves its int64/isa.Word shares off the same two
 	// arenas), so a Run's setup cost is a fixed handful of allocations
 	// however large the register file and window are.
-	i64 := make([]int64, stationArena64(w)+4*nr+2*(w+1))
-	wrd := make([]isa.Word, stationArenaWords(w)+2*nr)
+	i64 := make([]int64, stationArena64(w)+2*nr+2*(w+1))
+	wrd := make([]isa.Word, stationArenaWords(w)+nr)
 	e := &engine{
-		cfg:            cfg,
-		prog:           prog,
-		mem:            mem,
-		st:             newStations(w, &i64, &wrd),
-		memReqs:        make([]memory.Request, 0, w),
-		memCands:       make([]memCand, 0, w),
-		fwdDirty:       true,
-		scanEveryCycle: cfg.ForwardLatency != nil || scanEveryCycleForTests,
+		cfg:      cfg,
+		prog:     prog,
+		mem:      mem,
+		st:       newStations(w, &i64, &wrd),
+		memReqs:  make([]memory.Request, 0, w),
+		memCands: make([]memCand, 0, w),
 	}
 	e.commit = carve(&wrd, nr)
-	e.fwdVals = carve(&wrd, nr)
 	e.commitProducer = carve(&i64, nr)
 	e.commitDoneAt = carve(&i64, nr)
-	e.fwdWriter = carve(&i64, nr)
-	e.fwdWriterDone = carve(&i64, nr)
 	e.operandDist = carve(&i64, w+1)
 	e.stats.Occupancy = carve(&i64, w+1)
 	for r := range e.commitProducer {
@@ -293,18 +272,11 @@ func runCtx(ctx context.Context, prog []isa.Inst, mem *memory.Flat, cfg Config, 
 		e.flt = newFaultState(prog, mem, cfg)
 		e.flt.probe = probe
 	}
-	// Wakeup links assume producer state only moves toward done and that
-	// latched operands stay latched — both broken by injected faults
-	// (which a full rescan heals) and by self-timed availability (which
-	// depends on the cycle number). Those runs keep the seed's full scan.
-	e.wake = e.flt == nil && !e.scanEveryCycle
 	for r := range e.regWriter {
 		e.regWriter[r] = -1
 	}
-	if e.wake {
-		for i := range e.st.consHead {
-			e.st.consHead[i] = -1
-		}
+	for i := range e.st.consHead {
+		e.st.consHead[i] = -1
 	}
 	if cfg.Metrics != nil {
 		e.met = cfg.Metrics
@@ -381,11 +353,11 @@ func (e *engine) ctxErr() error {
 	return e.ctx.Err()
 }
 
-// scanEveryCycleForTests disables the incremental-forwarding fast path
-// for every subsequent Run, forcing the full-window scan each cycle (the
-// seed semantics). It exists for the golden equivalence tests; set it
-// before starting runs, never concurrently with them.
-var scanEveryCycleForTests bool
+// scanForTests, when set, replaces forward's heal sweep with a test's
+// own forwarding oracle; dirty reports whether the sweep would have run
+// this cycle. The equivalence tests set it before starting runs, never
+// concurrently with them.
+var scanForTests func(e *engine, dirty bool) error
 
 // metricsTick publishes the engine gauges and takes one registry
 // snapshot. It runs from the Run loop every MetricsEvery cycles (and
@@ -459,74 +431,69 @@ func (e *engine) completions() {
 	}
 }
 
-// forward makes producer results visible to waiting consumers, in one of
-// two modes that compute the same (value, ready) assignment:
+// forward makes producer results visible to waiting consumers: every
+// unstarted station receives, for each source register, the value and
+// ready bit of its nearest preceding writer, or of the committed register
+// file (paper Figure 1/4 semantics). That assignment is a function of
+// inputs fixed at fetch — a station's nearest preceding writer of r is
+// known the moment it is fetched (the set of older stations never grows)
+// — so attachOperands records each operand's producer once, and relatch
+// derives the latches from it. An operand whose producer is still
+// executing leaves a (slot, seq) wakeup link on the producer's consumer
+// list; each completion enqueues one wake event, and drainWakes touches
+// exactly the consumers of producers that completed since the last drain:
+// the software analogue of a CAM match line waking only its listeners.
 //
-// Full scan (fault campaigns, ForwardLatency, the equivalence tests): the
-// per-register CSPP scan of the seed engine. Each station receives, for
-// each source register, the (value, ready) pair inserted by the nearest
-// preceding modifier, or the committed register file at the oldest station
-// (paper Figure 1/4 semantics; one full-window propagation per cycle).
-// Re-latching every unstarted station each scan is what heals injected
-// operand corruption, and self-timed availability depends on the cycle
-// number, so those runs scan every cycle.
-//
-// Wakeup links (everything else): the CSPP assignment is a pure prefix
-// function of fixed inputs — a station's nearest preceding writer of r is
-// determined the moment it is fetched (the set of older stations never
-// grows), and a producer's value is final once done. So attachOperands
-// resolves each operand once at fetch through the regWriter rename table:
-// an already-done (or committed) producer latches immediately, and a
-// still-executing one leaves a (slot, seq) wakeup link and pushes itself
-// onto the producer's consumer list. Each completion enqueues one wake
-// event; drainWakes then touches exactly the consumers of producers that
-// completed since the last drain — the per-cycle work shrinks from the
-// whole window to the wakeups that actually happened, the software
-// analogue of a CAM match line waking only its listeners.
-//
-// Fast path (both modes): the scan's inputs change only on completion,
-// retirement, fetch, or squash. On cycles with none of those events the
-// previous scan's outputs (ready, a, b, srcD0/srcD1) are still exact, so
-// the rescan is skipped entirely (fwdDirty). Wake mode does not even
-// dirty on fetch: attachOperands latches from current producer state, so
-// a fetched station is exact until some producer completes.
+// Two kinds of run can leave a latch stale between wakes. Injected faults
+// corrupt latches and results that the CSPP wires re-drive, and
+// self-timed availability (ForwardLatency) changes with the cycle number.
+// Those runs add a heal sweep that relatches every unstarted station: on
+// every cycle under ForwardLatency, otherwise on the cycles fwdDirty
+// marks, when a full-window rescan would see new inputs. A latch
+// corrupted on a clean cycle therefore holds until producer state or the
+// window next changes. The screening probe never mutates anything, so it
+// runs the clean path without the sweep.
 //
 //uslint:hotpath
 func (e *engine) forward() error {
 	if e.fwdErr != nil {
 		return e.fwdErr
 	}
-	if !e.fwdDirty && !e.scanEveryCycle {
-		return nil
-	}
-	e.fwdDirty = false
-	if e.wake {
+	if e.wakeN > 0 {
 		e.drainWakes()
-		return nil
 	}
-	copy(e.fwdVals, e.commit)
-	copy(e.fwdWriter, e.commitProducer)
-	copy(e.fwdWriterDone, e.commitDoneAt)
-	e.fwdReady = ^uint64(0)
-	lo1, hi1, lo2, hi2 := e.liveSpans()
-	if err := e.forwardSpan(lo1, hi1); err != nil {
-		return err
+	fl := e.cfg.ForwardLatency
+	dirty := e.fwdDirty || fl != nil
+	e.fwdDirty = false
+	if scanForTests != nil {
+		return scanForTests(e, dirty)
 	}
-	return e.forwardSpan(lo2, hi2)
+	if dirty && (fl != nil || e.flt != nil && e.flt.probe == nil) {
+		st := &e.st
+		for w := range st.busy {
+			work := st.busy[w] &^ st.started[w]
+			for work != 0 {
+				b := bits.TrailingZeros64(work)
+				work &= work - 1
+				e.relatch(w<<6 + b)
+			}
+		}
+	}
+	return nil
 }
 
 // queueWake enqueues a completed producer for the next drain. Called at
-// every done.set site in wake mode; the consHead gate keeps producers
-// nobody waits on (and all non-writers) out of the queue. The producer's
-// seq is captured now because the slot can retire and be refetched before
-// the drain runs. The queue cannot overflow: done is monotone per
-// station, a freed slot's next occupant cannot complete before the next
-// forward drains, so at most one event per slot accumulates per window.
+// every done.set site; the consHead gate keeps producers nobody waits on
+// (and all non-writers) out of the queue. The producer's seq is captured
+// now because the slot can retire and be refetched before the drain runs.
+// The queue cannot overflow: done is monotone per station, a freed slot's
+// next occupant cannot complete before the next forward drains, so at
+// most one event per slot accumulates per window.
 //
 //uslint:hotpath
 func (e *engine) queueWake(slot int) {
 	st := &e.st
-	if e.wake && st.consHead[slot] >= 0 {
+	if st.consHead[slot] >= 0 {
 		st.wakeSlot[e.wakeN] = int32(slot)
 		st.wakeSeq[e.wakeN] = st.seq[slot]
 		e.wakeN++
@@ -549,47 +516,26 @@ func (e *engine) drainWakes() {
 	for i := 0; i < e.wakeN; i++ {
 		p := int(st.wakeSlot[i])
 		pseq := st.wakeSeq[i]
-		res := st.result[p]
 		node := st.consHead[p]
 		keepHead, keepTail := int32(-1), int32(-1)
 		for node >= 0 {
 			next := st.consNext[node]
-			c := int(node >> 1)
-			keep := false
-			if st.busy.get(c) {
-				if node&1 == 0 {
-					if st.srcSlot0[c] == int32(p) {
-						if st.srcSeq0[c] == pseq {
-							st.a[c] = res
-							st.srcSlot0[c] = -1
-							if st.srcSlot1[c] < 0 {
-								st.ready.set(c)
-							}
-						} else {
-							keep = true
-						}
+			c, k := int(node>>1), int(node&1)
+			if st.busy.get(c) && st.srcSlot[k][c] == int32(p) {
+				if st.srcSeq[k][c] == pseq {
+					e.setOperand(c, k, st.result[p])
+					st.srcSlot[k][c] = -1
+					if st.srcSlot[1-k][c] < 0 {
+						st.ready.set(c)
 					}
 				} else {
-					if st.srcSlot1[c] == int32(p) {
-						if st.srcSeq1[c] == pseq {
-							st.b[c] = res
-							st.srcSlot1[c] = -1
-							if st.srcSlot0[c] < 0 {
-								st.ready.set(c)
-							}
-						} else {
-							keep = true
-						}
+					if keepTail < 0 {
+						keepHead = node
+					} else {
+						st.consNext[keepTail] = node
 					}
+					keepTail = node
 				}
-			}
-			if keep {
-				if keepTail < 0 {
-					keepHead = node
-				} else {
-					st.consNext[keepTail] = node
-				}
-				keepTail = node
 			}
 			node = next
 		}
@@ -601,69 +547,125 @@ func (e *engine) drainWakes() {
 	e.wakeN = 0
 }
 
-// attachOperands resolves a just-fetched station's source operands against
-// the rename table (wake mode only; it runs inside the fetch loop, after
-// older same-cycle fetches updated the table and before this station's own
-// write does, so self-reads see the previous writer exactly as the scan's
-// age-order propagation would). Operands whose producer is committed or
-// already done latch now; the rest leave wakeup links and join their
-// producer's consumer list, to be woken by drainWakes at the forward
-// after the producer completes. A
-// source register out of range parks the seed scan's error in fwdErr —
-// forward reports it at the same point of the next cycle's chain.
+// attachOperands fixes a just-fetched station's operand producers and
+// latches it. It runs inside the fetch loop, after older same-cycle
+// fetches updated the rename table and before this station's own write
+// does, so self-reads see the previous writer exactly as an age-order
+// propagation would. Each operand's producer is recorded as a distance
+// (srcD): back to the newest live writer of the register, else to the
+// retired instruction that wrote the committed value, else -1 for an
+// initial value. Under ForwardLatency the ready bit set here is
+// provisional: fetch marks the cycle dirty, and the heal sweep applies
+// the path latency before anything reads it. A source register out of
+// range parks the error in fwdErr — forward reports it at the next
+// cycle's forward.
 //
 //uslint:hotpath
 func (e *engine) attachOperands(slot int) {
 	st := &e.st
 	n := e.cfg.NumRegs
 	seq := st.seq[slot]
-	nr := int(st.nsrc[slot])
-	st.srcSlot0[slot], st.srcSlot1[slot] = -1, -1
+	st.srcSlot[0][slot], st.srcSlot[1][slot] = -1, -1
 	ready := true
-	for k := 0; k < nr; k++ {
-		r := st.r1[slot]
-		if k == 1 {
-			r = st.r2[slot]
-		}
+	for k := 0; k < int(st.nsrc[slot]); k++ {
+		r := e.operandReg(slot, k)
 		if int(r) >= n {
 			if e.fwdErr == nil {
 				e.fwdErr = fmt.Errorf("core: %s reads r%d but machine has %d registers", st.inst[slot], r, n) //uslint:allow hotpathalloc -- cold error path, terminates the run
 			}
 			return
 		}
-		var val isa.Word
-		d := int32(-1)
-		pend := int32(-1)
-		var pendSeq int64
-		if p := e.regWriter[r]; p >= 0 {
-			pi := int(p)
-			d = int32(seq - st.seq[pi])
-			if st.done.get(pi) {
-				val = st.result[pi]
-			} else {
-				pend, pendSeq = p, st.seq[pi]
-				ready = false
-				node := int32(slot)<<1 | int32(k)
-				st.consNext[node] = st.consHead[pi]
-				st.consHead[pi] = node
-			}
-		} else {
-			if cp := e.commitProducer[r]; cp >= 0 {
-				d = int32(seq - cp)
-			}
-			val = e.commit[r]
+		p, d := int(e.regWriter[r]), int32(-1)
+		if p >= 0 {
+			d = int32(seq - st.seq[p])
+		} else if cp := e.commitProducer[r]; cp >= 0 {
+			d = int32(seq - cp)
 		}
-		if k == 0 {
-			st.a[slot], st.srcD0[slot] = val, d
-			st.srcSlot0[slot], st.srcSeq0[slot] = pend, pendSeq
-		} else {
-			st.b[slot], st.srcD1[slot] = val, d
-			st.srcSlot1[slot], st.srcSeq1[slot] = pend, pendSeq
+		st.srcD[k][slot] = d
+		if !e.latchOperand(slot, k, p, r) {
+			ready = false
 		}
 	}
-	st.srcN[slot] = uint8(nr)
 	if ready {
 		st.ready.set(slot)
+	}
+}
+
+// relatch recomputes the operand latches and ready bit of the unstarted
+// station in slot from the producers fixed at fetch. Sequence numbers are
+// contiguous in the window, so the producer d back is the live slot d
+// before this one while d does not exceed the station's age, and the
+// committed file once it has retired. Under ForwardLatency an operand is
+// available only once its value has crossed the extra path latency.
+//
+//uslint:hotpath
+func (e *engine) relatch(slot int) {
+	st := &e.st
+	age := e.ageOf(slot)
+	fl := e.cfg.ForwardLatency
+	ready := true
+	for k := 0; k < int(st.nsrc[slot]); k++ {
+		d, p := st.srcD[k][slot], -1
+		if d >= 0 && int(d) <= age {
+			if p = slot - int(d); p < 0 {
+				p += e.cfg.Window
+			}
+		}
+		r := e.operandReg(slot, k)
+		avail := e.latchOperand(slot, k, p, r)
+		if avail && fl != nil && d >= 0 {
+			// Self-timed datapath: the value reaches a consumer d
+			// instructions away only after the extra path latency.
+			at := e.commitDoneAt[r]
+			if p >= 0 {
+				at = st.doneAt[p]
+			}
+			avail = e.cycle >= at+int64(fl(int(d)))
+		}
+		ready = ready && avail
+	}
+	st.ready.put(slot, ready)
+}
+
+// latchOperand latches operand k of slot, which reads register r, from
+// its producer: the live station in slot p, or the committed file when
+// p < 0. It latches the producer's current result, as the CSPP wires
+// carry it whether or not the producer is done, and reports whether the
+// producer is done. An operand still waiting on a live producer gets a
+// wakeup link unless it has one.
+//
+//uslint:hotpath
+func (e *engine) latchOperand(slot, k, p int, r uint8) bool {
+	if p < 0 {
+		e.setOperand(slot, k, e.commit[r])
+		return true
+	}
+	st := &e.st
+	e.setOperand(slot, k, st.result[p])
+	if st.done.get(p) {
+		return true
+	}
+	if st.srcSlot[k][slot] < 0 {
+		st.srcSlot[k][slot], st.srcSeq[k][slot] = int32(p), st.seq[p]
+		st.push(int32(slot<<1|k), int32(p))
+	}
+	return false
+}
+
+// operandReg is the source register of operand op (0 or 1) of slot.
+func (e *engine) operandReg(slot, op int) uint8 {
+	if op == 1 {
+		return e.st.r2[slot]
+	}
+	return e.st.r1[slot]
+}
+
+// setOperand overwrites the latched value of operand op of slot.
+func (e *engine) setOperand(slot, op int, v isa.Word) {
+	if op == 0 {
+		e.st.a[slot] = v
+	} else {
+		e.st.b[slot] = v
 	}
 }
 
@@ -683,82 +685,6 @@ func (e *engine) rebuildRename() {
 			e.regWriter[st.dest[s]] = int32(s)
 		}
 	}
-}
-
-// forwardSpan propagates the full scan through one linear slot span in
-// age order. The word-level work set is latchers | writers: unstarted
-// stations re-latching operands, plus register writers driving the wires;
-// everything else is skipped a word at a time.
-func (e *engine) forwardSpan(lo, hi int) error {
-	if lo >= hi {
-		return nil
-	}
-	st := &e.st
-	n := e.cfg.NumRegs
-	fl := e.cfg.ForwardLatency
-	vals, writer, writerDone := e.fwdVals, e.fwdWriter, e.fwdWriterDone
-	for w := lo >> 6; w <= (hi-1)>>6; w++ {
-		m := spanMask(lo, hi, w)
-		latch := st.busy[w] &^ st.started[w] & m
-		wr := st.writes[w] & m
-		work := latch | wr
-		for work != 0 {
-			b := bits.TrailingZeros64(work)
-			work &= work - 1
-			bit := uint64(1) << uint(b)
-			slot := w<<6 + b
-			if latch&bit != 0 {
-				nr := int(st.nsrc[slot])
-				seq := st.seq[slot]
-				opsReady := true
-				for k := 0; k < nr; k++ {
-					r := st.r1[slot]
-					if k == 1 {
-						r = st.r2[slot]
-					}
-					if int(r) >= n {
-						return fmt.Errorf("core: %s reads r%d but machine has %d registers", st.inst[slot], r, n) //uslint:allow hotpathalloc -- cold error path, terminates the run
-					}
-					avail := e.fwdReady>>r&1 != 0
-					if avail && fl != nil && writer[r] >= 0 {
-						// Self-timed datapath: the value reaches a consumer d
-						// instructions away only after the extra path latency.
-						extra := fl(int(seq - writer[r]))
-						if e.cycle < writerDone[r]+int64(extra) {
-							avail = false
-						}
-					}
-					if !avail {
-						opsReady = false
-					}
-					d := int32(-1)
-					if writer[r] >= 0 {
-						d = int32(seq - writer[r])
-					}
-					if k == 0 {
-						st.a[slot] = vals[r]
-						st.srcD0[slot] = d
-					} else {
-						st.b[slot] = vals[r]
-						st.srcD1[slot] = d
-					}
-				}
-				st.srcN[slot] = uint8(nr)
-				st.ready.put(slot, opsReady)
-			}
-			if wr&bit != 0 {
-				d := st.dest[slot]
-				if int(d) >= n {
-					return fmt.Errorf("core: %s writes r%d but machine has %d registers", st.inst[slot], d, n) //uslint:allow hotpathalloc -- cold error path, terminates the run
-				}
-				vals[d] = st.result[slot]
-				e.fwdReady = e.fwdReady&^(1<<d) | st.done[w]>>uint(b)&1<<d
-				writer[d] = st.seq[slot]
-				writerDone[d] = st.doneAt[slot]
-			}
-		}
-	}
-	return nil
 }
 
 // execute progresses ALU, jump and branch stations. With a shared-ALU
@@ -846,12 +772,8 @@ func (e *engine) execute() {
 // Stats.OperandFromStation map when the run completes.
 func (e *engine) recordSources(slot int) {
 	st := &e.st
-	n := int(st.srcN[slot])
-	for k := 0; k < n; k++ {
-		d := st.srcD0[slot]
-		if k == 1 {
-			d = st.srcD1[slot]
-		}
+	for k := 0; k < int(st.nsrc[slot]); k++ {
+		d := st.srcD[k][slot]
 		if e.trc != nil {
 			e.trc.Record(obs.EvForward, e.cycle, st.seq[slot], st.pc[slot], int32(slot), d)
 		}
@@ -1136,49 +1058,50 @@ func (e *engine) memOnes(lo, hi int) int {
 	return n
 }
 
-// squashAfter removes all stations younger than age index i: their bits
-// clear from every state bitvec with two range masks, and the memory
-// population correction is a popcount. Squashing needs no forwarding
-// rescan: the surviving prefix's scan state is unaffected (the scan is a
-// strict age-order prefix computation), and the squashed stations'
-// outputs are discarded.
+// squashAfter removes all stations younger than age index i. The
+// surviving prefix's latches are unaffected (every operand's producer is
+// older than its consumer), and the squashed stations' are discarded.
 func (e *engine) squashAfter(i int) {
 	st := &e.st
-	nsq := e.occ - i - 1
-	if nsq > 0 {
-		if e.trc != nil {
-			byPC := st.pc[e.slotAt(i)]
-			for j := i + 1; j < e.occ; j++ {
-				v := e.slotAt(j)
-				e.trc.Record(obs.EvSquash, e.cycle, st.seq[v], st.pc[v], int32(v), byPC)
-			}
-		}
-		s1lo, s1hi, s2lo, s2hi := e.squashSpans(i + 1)
-		e.memCount -= e.memOnes(s1lo, s1hi) + e.memOnes(s2lo, s2hi)
-		e.stats.Squashed += int64(nsq)
-		for _, v := range st.stateVecs {
-			v.clearRange(s1lo, s1hi)
-			v.clearRange(s2lo, s2hi)
-		}
-		e.occ = i + 1
-		e.nextSeq = st.seq[e.slotAt(i)] + 1
-		if e.wake {
-			e.rebuildRename()
-			e.relinkWakes(s1lo, s1hi, s2lo, s2hi)
-		}
-		return
+	if i+1 < e.occ {
+		e.squashFrom(i+1, st.pc[e.slotAt(i)])
 	}
-	e.occ = i + 1
 	e.nextSeq = st.seq[e.slotAt(i)] + 1
 }
 
-// relinkWakes resets the wake machinery after a squash. Sequence numbers
-// rewind, so a squashed slot's next occupant reuses the exact (slot, seq)
-// pair — a stale queue event or list node could then wake a consumer with
-// the dead producer's result. Queue events for squashed producers are
-// dropped (survivors' events stand: their consumers may survive too), and
-// the consumer lists are rebuilt outright from the survivors' pending
-// links, which also sheds every node that pointed at a squashed consumer.
+// squashFrom discards the stations at ages [from, occ): their bits clear
+// from every state bitvec with two range masks, the memory population
+// correction is a popcount, and the rename table and wake links are
+// rebuilt from the survivors. arg is the trace squash events' argument.
+func (e *engine) squashFrom(from int, arg int32) {
+	st := &e.st
+	if e.trc != nil {
+		for j := from; j < e.occ; j++ {
+			v := e.slotAt(j)
+			e.trc.Record(obs.EvSquash, e.cycle, st.seq[v], st.pc[v], int32(v), arg)
+		}
+	}
+	s1lo, s1hi, s2lo, s2hi := e.squashSpans(from)
+	e.memCount -= e.memOnes(s1lo, s1hi) + e.memOnes(s2lo, s2hi)
+	e.stats.Squashed += int64(e.occ - from)
+	for _, v := range st.stateVecs {
+		v.clearRange(s1lo, s1hi)
+		v.clearRange(s2lo, s2hi)
+	}
+	e.occ = from
+	e.rebuildRename()
+	e.relinkWakes(s1lo, s1hi, s2lo, s2hi)
+}
+
+// relinkWakes resets the wake machinery after a squash of the given slot
+// spans (empty spans when a station only dropped its links). Sequence
+// numbers rewind on a squash, so a squashed slot's next occupant reuses
+// the exact (slot, seq) pair — a stale queue event or list node could
+// then wake a consumer with the dead producer's result. Queue events for
+// producers in the squashed spans are dropped (survivors' events stand:
+// their consumers may survive too), and the consumer lists are rebuilt
+// outright from the survivors' pending links, which also sheds every
+// node of a squashed or unlinked consumer.
 func (e *engine) relinkWakes(s1lo, s1hi, s2lo, s2hi int) {
 	st := &e.st
 	kept := 0
@@ -1197,15 +1120,10 @@ func (e *engine) relinkWakes(s1lo, s1hi, s2lo, s2hi int) {
 	}
 	for i := 0; i < e.occ; i++ {
 		c := e.slotAt(i)
-		if p := st.srcSlot0[c]; p >= 0 {
-			node := int32(c) << 1
-			st.consNext[node] = st.consHead[p]
-			st.consHead[p] = node
-		}
-		if p := st.srcSlot1[c]; p >= 0 {
-			node := int32(c)<<1 | 1
-			st.consNext[node] = st.consHead[p]
-			st.consHead[p] = node
+		for k := range st.srcSlot {
+			if p := st.srcSlot[k][c]; p >= 0 {
+				st.push(int32(c<<1|k), p)
+			}
 		}
 	}
 }
@@ -1220,18 +1138,15 @@ func (e *engine) retire() bool {
 	st := &e.st
 	g := e.cfg.Granularity
 	popped := 0
+	refused, resume := false, 0
 	for popped < e.occ {
 		slot := e.slotAt(popped)
 		if !e.finishedSlot(slot) {
 			break
 		}
 		if e.flt != nil {
-			if resume, bad := e.flt.checkRetire(e, slot); bad {
-				// The commit checker refused the instruction: recover by
-				// squashing from it and replaying. The prefix retired this
-				// cycle stands; nothing younger survives.
-				e.faultRecover(popped, resume)
-				return false
+			if resume, refused = e.flt.checkRetire(e, slot); refused {
+				break
 			}
 		}
 		popped++
@@ -1289,6 +1204,12 @@ func (e *engine) retire() bool {
 		}
 		e.occ -= popped
 		e.lastRetire = e.cycle
+	}
+	if refused {
+		// The commit checker refused the instruction now at the head:
+		// recover by squashing from it and replaying. The prefix retired
+		// this cycle stands.
+		e.faultRecover(resume)
 	}
 	return false
 }
@@ -1360,7 +1281,7 @@ func (e *engine) fetchTrace(tr []int, width int) {
 // Only the fields a fresh station needs are written: every state bit of
 // the slot was already cleared when it retired or squashed (the state ⊆
 // busy invariant), and the stale scalar fields are all written before
-// read (operands by the next scan, execution state at issue).
+// read (operands by attachOperands, execution state at issue).
 func (e *engine) fetchOne(forcedNext int) (int, bool) {
 	if e.haltStop || e.jalrWait || e.occ >= e.cfg.Window {
 		return -1, false
@@ -1381,7 +1302,6 @@ func (e *engine) fetchOne(forcedNext int) (int, bool) {
 	r1, r2, nr := in.ReadRegs()
 	st.r1[slot], st.r2[slot] = r1, r2
 	st.nsrc[slot] = uint8(nr)
-	st.srcN[slot] = 0
 	d, wr := in.Writes()
 	st.dest[slot] = d
 	if wr {
@@ -1403,18 +1323,6 @@ func (e *engine) fetchOne(forcedNext int) (int, bool) {
 	}
 	if cl&clsNoALU == 0 {
 		st.alu.set(slot)
-	}
-	if e.wake {
-		e.attachOperands(slot)
-		if wr {
-			if int(d) >= e.cfg.NumRegs {
-				if e.fwdErr == nil {
-					e.fwdErr = fmt.Errorf("core: %s writes r%d but machine has %d registers", in, d, e.cfg.NumRegs) //uslint:allow hotpathalloc -- cold error path, terminates the run
-				}
-			} else {
-				e.regWriter[d] = int32(slot)
-			}
-		}
 	}
 	var predNext int32
 	switch {
@@ -1469,6 +1377,17 @@ func (e *engine) fetchOne(forcedNext int) (int, bool) {
 		e.head = slot
 	}
 	e.occ++
+	e.attachOperands(slot)
+	if wr {
+		if int(d) >= e.cfg.NumRegs {
+			if e.fwdErr == nil {
+				e.fwdErr = fmt.Errorf("core: %s writes r%d but machine has %d registers", in, d, e.cfg.NumRegs) //uslint:allow hotpathalloc -- cold error path, terminates the run
+			}
+		} else {
+			e.regWriter[d] = int32(slot)
+		}
+	}
+	e.fwdDirty = true // the window changed: a heal-sweep cycle (see forward)
 	e.nextSeq++
 	e.stats.Fetched++
 	if e.trc != nil {
@@ -1476,11 +1395,6 @@ func (e *engine) fetchOne(forcedNext int) (int, bool) {
 	}
 	if cl&clsMem != 0 {
 		e.memCount++
-	}
-	if !e.wake {
-		// Full scan: new stations latch at the next scan. Wake mode needs
-		// no rescan — attachOperands latched from current producer state.
-		e.fwdDirty = true
 	}
 	if e.haltStop || e.jalrWait {
 		return slot, false

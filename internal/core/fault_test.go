@@ -296,7 +296,9 @@ func TestFaultDetectRequiresPlan(t *testing.T) {
 // single fault × kernel × window × machine shape: a fault the screen
 // rejects must leave the faulted run equal to the clean run (nothing
 // applied, no watchdog fire, no squash, no error, the same cycle,
-// retired and fetched counts), and a fault it accepts must land.
+// retired and fetched counts), and a fault it accepts must land. The
+// faulted run must also equal its run under the scan oracle: the same
+// Regs, Stats, fault log and error.
 func FuzzScreenFault(f *testing.F) {
 	f.Add(uint8(0), uint8(8), uint8(0), uint8(fault.SiteResultBit), int64(20), int32(3), uint8(5), uint8(0), uint8(2), int64(4), uint8(2))
 	f.Add(uint8(1), uint8(16), uint8(2), uint8(fault.SiteReadyStuck0), int64(7), int32(9), uint8(0), uint8(1), uint8(0), int64(60), uint8(0))
@@ -329,9 +331,7 @@ func FuzzScreenFault(f *testing.F) {
 		if err != nil {
 			t.Fatalf("screen: %v", err)
 		}
-		log := &fault.Log{}
-		cfg.FaultPlan, cfg.FaultLog = &fault.Plan{Faults: []fault.Fault{fl}}, log
-		res, err := Run(wl.Prog, wl.Mem(), cfg)
+		res, log, err := runTrialBoth(t, wl.Name, wl, cfg, fl)
 		if landed[0] {
 			if log.Applied < 1 {
 				t.Fatalf("screen kept %+v but it never landed", fl)
@@ -349,4 +349,72 @@ func FuzzScreenFault(f *testing.F) {
 				fl, res.Stats, clean.Stats)
 		}
 	})
+}
+
+// TestResultBitReachesLatchedConsumer: a result-bit strike re-drives the
+// corrupted value onto the CSPP wires, so a consumer that latched the
+// clean value but has not issued relatches the corrupt one at the next
+// heal sweep, while the struck producer is still in the window. Here the
+// add latches r5 = 9 in cycle 1 and waits for the mul until cycle 4; the
+// strike turns r5 into 8 at cycle 2, and the div keeps the li from
+// retiring until long after the add issues. With no detection, r5 = 8
+// and r4 = r5 + 30 commit from the corrupt value.
+func TestResultBitReachesLatchedConsumer(t *testing.T) {
+	w := workload.Workload{Name: "latched", Prog: []isa.Inst{
+		{Op: isa.OpLi, Rd: 1, Imm: 5},
+		{Op: isa.OpLi, Rd: 2, Imm: 6},
+		{Op: isa.OpDiv, Rd: 6, Rs1: 1, Rs2: 2}, // holds retirement until cycle 11
+		{Op: isa.OpLi, Rd: 5, Imm: 9},          // slot 3: the struck result
+		{Op: isa.OpMul, Rd: 3, Rs1: 1, Rs2: 2}, // r3 = 30, visible at cycle 4
+		{Op: isa.OpAdd, Rd: 4, Rs1: 5, Rs2: 3}, // latches r5, waits on r3
+		{Op: isa.OpHalt},
+	}}
+	cfg := Config{Window: 8, MaxCycles: 1 << 10, FaultDetect: fault.DetectNone}
+	fl := fault.Fault{Site: fault.SiteResultBit, Cycle: 2, Slot: 3, Bit: 0}
+	res, log, err := runTrialBoth(t, "latched", w, cfg, fl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if log.Applied != 1 {
+		t.Fatalf("the strike did not land: %+v", log)
+	}
+	if res.Regs[5] != 8 || res.Regs[4] != 38 {
+		t.Errorf("r5 = %d, r4 = %d; want the corrupt 8 and 38", res.Regs[5], res.Regs[4])
+	}
+}
+
+// TestWatchdogWaitsOutFetch pins when the watchdog may fire. A stuck-at-0
+// hold starves the head from cycle 0 while FetchWidth 1 fills a 4-slot
+// window one station per cycle with instructions that wait on the head;
+// the last one arrives with the fetch at the end of cycle 2. A fetch
+// marks the cycle dirty, and a dirty cycle is progress still pending (the
+// heal sweep of the next forward may change readiness), so the watchdog,
+// armed after one quiet cycle, first finds the window dead at cycle 4,
+// not 3.
+func TestWatchdogWaitsOutFetch(t *testing.T) {
+	w := workload.Workload{Name: "starved", Prog: []isa.Inst{
+		{Op: isa.OpLi, Rd: 1, Imm: 1},
+		{Op: isa.OpAdd, Rd: 1, Rs1: 1, Rs2: 1},
+		{Op: isa.OpAdd, Rd: 1, Rs1: 1, Rs2: 1},
+		{Op: isa.OpAdd, Rd: 1, Rs1: 1, Rs2: 1},
+		{Op: isa.OpHalt},
+	}}
+	cfg := Config{Window: 4, FetchWidth: 1, Watchdog: 1, MaxCycles: 1 << 10, FaultDetect: fault.DetectGolden}
+	fl := fault.Fault{Site: fault.SiteReadyStuck0, Cycle: 0, Slot: 0, Dur: 1 << 9}
+	res, log, err := runTrialBoth(t, "starved", w, cfg, fl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Regs[1] != 8 {
+		t.Errorf("r1 = %d after recovery, want 8", res.Regs[1])
+	}
+	var fires []int64
+	for _, r := range log.Records {
+		if r.Kind == fault.RecWatchdog {
+			fires = append(fires, r.Cycle)
+		}
+	}
+	if len(fires) != 1 || fires[0] != 4 {
+		t.Errorf("watchdog fired at cycles %v, want once at cycle 4", fires)
+	}
 }

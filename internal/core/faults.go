@@ -5,9 +5,14 @@ package core
 // port detects corruption, and how the squash-and-replay machinery
 // recovers from it.
 //
-// Injection runs from the Run loop between the forwarding scan and
-// execute, so corruption lands on freshly latched operand state exactly
-// as a particle strike on the station latches would. Detection runs at
+// Injection runs from the Run loop between forward and execute, so
+// corruption lands on freshly latched operand state exactly as a particle
+// strike on the station latches would. Faulted runs forward like every
+// other run, through wakeup links, plus forward's heal sweep: on each
+// cycle where producer state or the window changes, relatch re-derives
+// every unstarted station's latches from its producers, so a corrupted
+// latch holds until the wires it samples next change, and a corrupted
+// result reaches consumers that had already latched it. Detection runs at
 // the retire boundary — parity on the circulating result, or a DIVA-style
 // cross-check of every retiring instruction against the in-order golden
 // machine of internal/ref. Recovery points the misprediction squash at
@@ -105,12 +110,13 @@ func newFaultState(prog []isa.Inst, mem *memory.Flat, cfg Config) *faultState {
 // defined for single-fault plans only: once one fault lands, the state
 // every later fault would meet is no longer the clean run's.
 //
-// One probe run decides every fault. It carries a fault state, so it
-// takes the same full-rescan forwarding path as a faulted run, but in
-// probe mode: at each fault's cycle it evaluates the landing predicate
-// the injector uses (for ready-stuck0, on every cycle of the hold) and
-// never mutates anything. cfg's fault plan, detection and log are
-// ignored; mem is mutated as by Run.
+// One probe run decides every fault. It carries a fault state in probe
+// mode: at each fault's cycle it evaluates the landing predicate the
+// injector uses (for ready-stuck0, on every cycle of the hold) and never
+// mutates anything, so it runs the clean run's forwarding path, without
+// the heal sweep of a faulted run; the predicate reads only station
+// state the sweep would not change. cfg's fault plan, detection and log
+// are ignored; mem is mutated as by Run.
 func ScreenFaults(ctx context.Context, prog []isa.Inst, mem *memory.Flat, cfg Config, faults []fault.Fault) ([]bool, error) {
 	p := &faultProbe{order: make([]int, len(faults)), landed: make([]bool, len(faults))}
 	if len(faults) == 0 {
@@ -133,8 +139,8 @@ func ScreenFaults(ctx context.Context, prog []isa.Inst, mem *memory.Flat, cfg Co
 }
 
 // faultCycle applies this cycle's scheduled faults and re-asserts active
-// stuck-at-0 holds. It runs from the Run loop, after the forwarding scan
-// latched operand state and before execute consumes it.
+// stuck-at-0 holds. It runs from the Run loop, after forward latched
+// operand state and before execute consumes it.
 func (e *engine) faultCycle() {
 	f := e.flt
 	if f.probe != nil {
@@ -154,8 +160,8 @@ func holdUntil(fl fault.Fault) int64 {
 }
 
 // tickStuck re-asserts every armed stuck-at-0 hold (the latch is pinned,
-// so each forwarding rescan's fresh ready bit is forced back low) and
-// releases expired holds.
+// so each heal sweep's fresh ready bit is forced back low) and releases
+// expired holds.
 func (f *faultState) tickStuck(e *engine) {
 	if len(f.stuck) == 0 {
 		return
@@ -163,7 +169,8 @@ func (f *faultState) tickStuck(e *engine) {
 	kept := f.stuck[:0]
 	for _, h := range f.stuck {
 		if e.cycle >= h.until {
-			// Released: rescan so the station's true readiness returns.
+			// Released: mark the cycle dirty so the next heal sweep
+			// restores the station's true readiness.
 			e.fwdDirty = true
 			continue
 		}
@@ -300,19 +307,25 @@ func (e *engine) applyFault(fl fault.Fault) {
 		}
 
 	case fault.SiteReadyStuck1:
-		st.ready.set(slot) // issues now, with stale latched operands
+		// Issues now, with stale latched operands: the station stops
+		// listening for its producers, so no wake reaches it once it has
+		// started. If it does not start this cycle, the next heal sweep
+		// relinks it.
+		st.ready.set(slot)
+		st.srcSlot[0][slot], st.srcSlot[1][slot] = -1, -1
+		e.relinkWakes(0, 0, 0, 0)
 
 	case fault.SiteDropForward:
 		// The nearest-producer forward is dropped; the station latches the
 		// stale committed register value, as if the segment bit failed open.
-		e.setOperand(slot, fl.Op, e.commit[e.operandReg(slot, fl.Op)])
+		e.setOperand(slot, int(fl.Op), e.commit[e.operandReg(slot, int(fl.Op))])
 
 	case fault.SiteDupForward:
 		// A stale merge output wins the wired-OR: the station latches the
 		// value of the producer BEFORE its nearest one — the second-closest
 		// older in-window writer of the register, or the committed file
 		// when there is no such writer (or its value is still unknown).
-		r := e.operandReg(slot, fl.Op)
+		r := e.operandReg(slot, int(fl.Op))
 		v := e.commit[r]
 		seen := 0
 		for j := e.occ - 1; j >= 0; j-- {
@@ -328,26 +341,9 @@ func (e *engine) applyFault(fl fault.Fault) {
 				break
 			}
 		}
-		e.setOperand(slot, fl.Op, v)
+		e.setOperand(slot, int(fl.Op), v)
 	}
 	e.faultApplied(fl, slot)
-}
-
-// operandReg is the source register of operand op (0 or 1) of slot.
-func (e *engine) operandReg(slot int, op uint8) uint8 {
-	if op == 1 {
-		return e.st.r2[slot]
-	}
-	return e.st.r1[slot]
-}
-
-// setOperand overwrites the latched value of operand op of slot.
-func (e *engine) setOperand(slot int, op uint8, v isa.Word) {
-	if op == 0 {
-		e.st.a[slot] = v
-	} else {
-		e.st.b[slot] = v
-	}
 }
 
 // faultApplied accounts one landed fault (slot is -1 for register-scoped
@@ -492,37 +488,24 @@ func (f *faultState) noteDetect(e *engine, slot int, arg int32) {
 	}
 }
 
-// faultRecover is squash-and-replay pointed at a corrupted station: every
-// unretired instruction from age index `from` (the refused one) onward is
-// squashed — its state bits cleared with the same range masks as a
-// misprediction squash — its speculatively performed stores are rolled
-// back, and fetch restarts at resumePC with the sequence counter reset.
-// The already-retired prefix passed the checker and stands.
+// faultRecover is squash-and-replay pointed at a corrupted station at the
+// head of the window: every unretired instruction is squashed through
+// the misprediction squash (squashFrom), its speculatively performed
+// stores are rolled back, and fetch restarts at resumePC with the
+// sequence counter reset. The already-retired prefix passed the checker
+// and stands.
 //
 //uslint:allow hotpathalloc -- fault campaigns only; nil-guarded off the measured path
-func (e *engine) faultRecover(from int, resumePC int) {
+func (e *engine) faultRecover(resumePC int) {
 	f := e.flt
-	st := &e.st
-	seq0 := st.seq[e.slotAt(from)]
+	seq0 := e.st.seq[e.head]
 	f.rollbackStores(e.mem, seq0)
-	squashed := e.occ - from
-	if e.trc != nil {
-		for j := from; j < e.occ; j++ {
-			v := e.slotAt(j)
-			e.trc.Record(obs.EvSquash, e.cycle, st.seq[v], st.pc[v], int32(v), int32(resumePC))
-		}
-	}
-	s1lo, s1hi, s2lo, s2hi := e.squashSpans(from)
-	e.memCount -= e.memOnes(s1lo, s1hi) + e.memOnes(s2lo, s2hi)
-	e.stats.Squashed += int64(squashed)
-	for _, v := range st.stateVecs {
-		v.clearRange(s1lo, s1hi)
-		v.clearRange(s2lo, s2hi)
-	}
-	// Nothing unretired survives: the window empties (fetch re-anchors
+	squashed := e.occ
+	// Nothing unretired survives: the window empties, and with it the
+	// rename table, the consumer lists and the wake queue (fetch re-anchors
 	// head at the next slot). Replay refills it from resumePC this same
 	// cycle.
-	e.occ = 0
+	e.squashFrom(0, int32(resumePC))
 	e.nextSeq = seq0
 	e.fetchPC = resumePC
 	e.haltStop, e.jalrWait = false, false
@@ -563,6 +546,6 @@ func (e *engine) watchdogRecover() bool {
 		Seq: e.st.seq[head], PC: e.st.pc[head], Slot: int32(head),
 	})
 	f.noteDetect(e, head, 1)
-	e.faultRecover(0, resume)
+	e.faultRecover(resume)
 	return true
 }

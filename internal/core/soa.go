@@ -102,24 +102,25 @@ type stations struct {
 	issue     []int64 // cycle the instruction issued
 	doneAt    []int64 // first cycle the result is visible to consumers
 	memDoneAt []int64 // cycle a granted memory access completes
-	srcSeq0   []int64 // pending producer's seq (valid while srcSlot0 >= 0)
-	srcSeq1   []int64
 
 	pc         []int32
 	predNext   []int32 // predicted successor; -1: unknown (JALR, cold BTB)
 	actualNext []int32 // resolved successor (valid once resolved)
 	remaining  []int32 // execution cycles left once started
 	histSnap   []int32 // speculative-history snapshot (SpecPredictor)
-	srcD0      []int32 // producer distance of operand 0, -1 = committed file
-	srcD1      []int32 // producer distance of operand 1
-	// Wake-mode pending-producer links (engine.go attachOperands): the
-	// slot of the still-executing producer each operand waits on, -1 once
-	// the value is latched, plus the producer's sequence number so a wake
-	// drain can tell a retired producer from the slot's next occupant.
-	srcSlot0 []int32
-	srcSlot1 []int32
-	// Wake-mode consumer lists: consHead[p] heads a singly-linked list of
-	// operand nodes (node = consumerSlot<<1 | operandIndex) waiting on the
+
+	// Per-operand state, indexed [operand][slot]. srcD is the distance
+	// back to the operand's producer, fixed at fetch (-1 = an initial
+	// register value); relatch (engine.go) derives every latch from it.
+	// srcSlot is the wakeup link: the slot of the still-executing producer
+	// the operand waits on, -1 once the value is latched; srcSeq holds the
+	// producer's sequence number, so a wake drain can tell a retired
+	// producer from the slot's next occupant.
+	srcD    [2][]int32
+	srcSlot [2][]int32
+	srcSeq  [2][]int64
+	// Consumer lists: consHead[p] heads a singly-linked list of operand
+	// nodes (node = consumerSlot<<1 | operandIndex) waiting on the
 	// producer in slot p; consNext links nodes (2 per slot). wakeSlot and
 	// wakeSeq are the completed-producer event queue drained by forward
 	// (engine.wakeN is its length).
@@ -138,7 +139,6 @@ type stations struct {
 	r1    []uint8 // source registers, decoded once at fetch
 	r2    []uint8
 	nsrc  []uint8 // static source-register count (ReadRegs)
-	srcN  []uint8 // operands latched by the last scan (0 until scanned)
 
 	inst []isa.Inst
 
@@ -168,6 +168,13 @@ type stations struct {
 	stateVecs []bitvec
 }
 
+// push links operand node (consumerSlot<<1 | operandIndex) onto the
+// consumer list of the producer in slot p.
+func (st *stations) push(node, p int32) {
+	st.consNext[node] = st.consHead[p]
+	st.consHead[p] = node
+}
+
 // carve slices n elements off the front of an arena, capacity-clamped so
 // the carved slices can never alias each other through append.
 func carve[T any](arena *[]T, n int) []T {
@@ -189,24 +196,23 @@ func stationArenaWords(w int) int { return 5 * w }
 func newStations(w int, i64 *[]int64, wrd *[]isa.Word) stations {
 	nw := (w + 63) >> 6
 	i32 := make([]int32, 13*w)
-	u8 := make([]uint8, 6*w)
+	u8 := make([]uint8, 5*w)
 	bw := make([]uint64, 17*nw)
 	var st stations
 	st.seq = carve(i64, w)
 	st.issue = carve(i64, w)
 	st.doneAt = carve(i64, w)
 	st.memDoneAt = carve(i64, w)
-	st.srcSeq0 = carve(i64, w)
-	st.srcSeq1 = carve(i64, w)
+	for k := range st.srcD {
+		st.srcSeq[k] = carve(i64, w)
+		st.srcD[k] = carve(&i32, w)
+		st.srcSlot[k] = carve(&i32, w)
+	}
 	st.pc = carve(&i32, w)
 	st.predNext = carve(&i32, w)
 	st.actualNext = carve(&i32, w)
 	st.remaining = carve(&i32, w)
 	st.histSnap = carve(&i32, w)
-	st.srcD0 = carve(&i32, w)
-	st.srcD1 = carve(&i32, w)
-	st.srcSlot0 = carve(&i32, w)
-	st.srcSlot1 = carve(&i32, w)
 	st.consHead = carve(&i32, w)
 	st.consNext = carve(&i32, 2*w)
 	st.wakeSlot = carve(&i32, w)
@@ -221,7 +227,6 @@ func newStations(w int, i64 *[]int64, wrd *[]isa.Word) stations {
 	st.r1 = carve(&u8, w)
 	st.r2 = carve(&u8, w)
 	st.nsrc = carve(&u8, w)
-	st.srcN = carve(&u8, w)
 	st.inst = make([]isa.Inst, w)
 	st.busy = carve(&bw, nw)
 	st.ready = carve(&bw, nw)

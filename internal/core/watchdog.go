@@ -13,14 +13,14 @@ package core
 // livelocked reports whether the engine can make no further progress:
 // nothing is executing, nothing is ready to issue, and fetch cannot
 // supply new work. It is deliberately conservative — any in-flight
-// instruction, pending forwarding rescan, or fetchable slot counts as
+// instruction, pending heal sweep (fwdDirty), or fetchable slot counts as
 // potential progress — so it cannot fire on a slow-but-live window. The
 // per-station conditions reduce to two word expressions over the station
 // bitmaps: started &^ finished (will complete) and busy &^ started &
 // ready (will issue).
 func (e *engine) livelocked() bool {
 	if e.fwdDirty {
-		return false // producer state changed; readiness may improve next scan
+		return false // producer state changed; readiness may improve at the next forward
 	}
 	st := &e.st
 	var spans [2][2]int

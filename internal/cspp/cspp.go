@@ -20,17 +20,18 @@
 //     structure of the O(log n) gate-delay circuit.
 //
 // Property tests assert Ring == Tree; the circuit package builds the same
-// computation as a gate netlist and is tested against this package.
+// computation as a gate netlist and is tested against this package, which
+// is the functional oracle of those circuit tests.
 //
-// The fault model (internal/fault) targets this primitive directly: a
-// merge-bit fault corrupts one CSPP merge node's output for a logical
-// register, so every station latching that register in the same cycle
-// receives the corrupted value — the shared-subtree failure mode the
-// tree evaluation implies — while drop-forward and dup-forward faults
+// Nothing in the simulator's run path calls this package. The engine
+// (internal/core) computes the same nearest-preceding-writer assignment
+// in its operand latch, and that latch is where the fault model's CSPP
+// faults land: a merge-bit fault corrupts one merge node's output for a
+// logical register, so every station latching that register in the same
+// cycle receives the corrupted value — the shared-subtree failure mode
+// the tree evaluation implies — while drop-forward and dup-forward faults
 // model a segment bit failing open or a stale merge output winning the
-// wired-OR. The engine injects these at its own forwarding scan (the
-// operational equivalent of the CSPP), keeping this package purely
-// functional.
+// wired-OR.
 package cspp
 
 // Op is an associative operator with identity. Identity must satisfy

@@ -95,7 +95,7 @@ func AllSites() []Site {
 // Fault is one scheduled transient fault.
 type Fault struct {
 	Site  Site
-	Cycle int64 // cycle the fault strikes (injection happens after the forwarding scan)
+	Cycle int64 // cycle the fault strikes (injection happens after forwarding)
 	Slot  int32 // target execution-station slot (taken mod window)
 	Bit   uint8 // bit index to flip, 0..31 (value faults)
 	Op    uint8 // operand index 0 or 1 (operand faults)

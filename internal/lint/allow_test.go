@@ -3,9 +3,7 @@ package lint_test
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
-	"go/token"
 	"go/types"
 	"testing"
 
@@ -17,7 +15,7 @@ import (
 // synthetic but stable, which is all the directive index needs.
 func progFromSource(t *testing.T, pkgPath string, files map[string]string) *lint.Program {
 	t.Helper()
-	fset := token.NewFileSet()
+	fset, imp := lint.FixtureImporter()
 	var parsed []*ast.File
 	for name, src := range files {
 		f, err := parser.ParseFile(fset, name, src, parser.ParseComments)
@@ -32,7 +30,7 @@ func progFromSource(t *testing.T, pkgPath string, files map[string]string) *lint
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(pkgPath, fset, parsed, info)
 	if err != nil {
 		t.Fatalf("type-checking: %v", err)

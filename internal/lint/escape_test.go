@@ -2,9 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"go/importer"
 	"go/parser"
-	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
@@ -45,14 +43,14 @@ func cold() []int { // line 23
 // module root, so relative compiler paths resolve onto the fixture file.
 func escapeFixture(t *testing.T) *Program {
 	t.Helper()
-	fset := token.NewFileSet()
+	fset, imp := FixtureImporter()
 	const dir = "/fake/mod"
 	f, err := parser.ParseFile(fset, filepath.Join(dir, "core", "hot.go"), escapeFixtureSrc, parser.ParseComments)
 	if err != nil {
 		t.Fatalf("parsing fixture: %v", err)
 	}
 	info := newInfo()
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check("ultrascalar/internal/core", fset, []*ast.File{f}, info)
 	if err != nil {
 		t.Fatalf("type-checking fixture: %v", err)

@@ -2,9 +2,7 @@ package lint_test
 
 import (
 	"go/ast"
-	"go/importer"
 	"go/parser"
-	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
@@ -31,7 +29,7 @@ type expectation struct {
 // collects its want expectations.
 func loadFixture(t *testing.T, dir, pkgPath string) (*lint.Program, []*expectation) {
 	t.Helper()
-	fset := token.NewFileSet()
+	fset, imp := lint.FixtureImporter()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("reading fixture dir: %v", err)
@@ -70,7 +68,7 @@ func loadFixture(t *testing.T, dir, pkgPath string) (*lint.Program, []*expectati
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(pkgPath, fset, files, info)
 	if err != nil {
 		t.Fatalf("type-checking fixture %s: %v", dir, err)

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -64,6 +66,35 @@ func copyDir(t *testing.T, from, to string) {
 		}
 		if err := os.WriteFile(filepath.Join(to, e.Name()), data, 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// requireNoStaleCheckpoints fails t if a checkpoint in dir belongs to a
+// job m holds as done, failed or canceled, or to no job at all.
+func requireNoStaleCheckpoints(t *testing.T, m *Manager, dir string) {
+	t.Helper()
+	ents, err := os.ReadDir(filepath.Join(dir, "checkpoints"))
+	if errors.Is(err, fs.ErrNotExist) {
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		id := strings.TrimSuffix(e.Name(), ".ckpt")
+		job, serr := m.Get(id)
+		if serr != nil {
+			t.Errorf("checkpoint %s outlives its job: %v", e.Name(), serr)
+			continue
+		}
+		switch job.State {
+		case StateDone, StateFailed, StateCanceled:
+			// A job that finished after ReadDir removed its checkpoint
+			// under the lock Get took, so the file must be gone now.
+			if _, err := os.Stat(filepath.Join(dir, "checkpoints", e.Name())); err == nil {
+				t.Errorf("checkpoint %s outlives %s's terminal record (%s)", e.Name(), id, job.State)
+			}
 		}
 	}
 }
@@ -178,12 +209,24 @@ func TestJournalCrashAtEveryAppend(t *testing.T) {
 					job := decodeRecord(t, rec)
 					last[job.ID] = job
 				}
+				// A finished campaign's checkpoint can outlive its terminal
+				// record: a crash between the append and the remove, or a
+				// binary that never removed it, leaves one behind.
+				if c := last["job-000001"]; c.State == StateDone {
+					if err := os.MkdirAll(filepath.Join(dir, "checkpoints"), 0o755); err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(filepath.Join(dir, "checkpoints", "job-000001.ckpt"), []byte("stale\n"), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
 
 				m, err := New(Config{Dir: dir, Workers: 2})
 				if err != nil {
 					t.Fatalf("New after crash: %v", err)
 				}
 				defer drainNow(m)
+				requireNoStaleCheckpoints(t, m, dir)
 				jobs := m.List()
 				if len(jobs) != len(last) {
 					t.Fatalf("recovered %d jobs, want the %d acknowledged", len(jobs), len(last))
@@ -230,6 +273,7 @@ func TestJournalCrashAtEveryAppend(t *testing.T) {
 					t.Fatalf("second restart: %v", err)
 				}
 				defer drainNow(m2)
+				requireNoStaleCheckpoints(t, m2, dir)
 				after := m2.List()
 				if len(after) != len(before) {
 					t.Fatalf("second restart has %d jobs, want %d", len(after), len(before))

@@ -410,7 +410,8 @@ const journalName = "journal.jsonl"
 // last record for an ID wins. Jobs found running were interrupted by a
 // crash: they are demoted to interrupted and, like queued and
 // previously-interrupted jobs, re-enqueued in ID order; the demotion
-// need not be appended, since a replay demotes the record again. When
+// need not be appended, since a replay demotes the record again. The
+// checkpoints of finished campaign jobs are removed. When
 // the journal holds more records than there are jobs, it is rewritten
 // once with one record per job in ID order.
 func (m *Manager) recover() ([]string, error) {
@@ -459,6 +460,7 @@ func (m *Manager) recover() ([]string, error) {
 		if job.State == StateQueued || job.State == StateInterrupted {
 			runnable = append(runnable, job.ID)
 		}
+		m.reapCheckpoint(job)
 	}
 	if records > len(m.order) {
 		m.compact()
@@ -1326,10 +1328,17 @@ func (m *Manager) persistLocked(job *Job) {
 		m.persistFailed(job.ID, err)
 		return
 	}
-	// A campaign job whose terminal record is on disk never resumes, so
-	// its checkpoint goes; interrupted and queued jobs keep theirs. The
-	// remove's error is dropped: a file left by a failed remove, or by a
-	// crash before it, is stale and nothing reads it.
+	m.reapCheckpoint(job)
+}
+
+// reapCheckpoint removes the checkpoint of a campaign job that is done,
+// failed or canceled: with its terminal record on disk the job never
+// resumes. Interrupted and queued jobs keep theirs. persistLocked calls
+// it after the terminal append, and recover for every job it loads, so a
+// file left by a failed remove, by a crash between the append and the
+// remove, or by a binary that did not reap is gone after the next start.
+// The remove's error is dropped: a missing file is the common case.
+func (m *Manager) reapCheckpoint(job *Job) {
 	switch job.State {
 	case StateDone, StateFailed, StateCanceled:
 		if job.Request.Kind == "campaign" {
