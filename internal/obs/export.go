@@ -117,9 +117,9 @@ func ReadJSONL(r io.Reader) (Manifest, []Event, error) {
 	return man, events, nil
 }
 
-// traceEvent is one Chrome trace-event record. Phases used: "M"
+// TraceEvent is one Chrome trace-event record. Phases used: "M"
 // (metadata), "X" (complete/duration), "i" (instant).
-type traceEvent struct {
+type TraceEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`
 	Ts   int64          `json:"ts"`
@@ -130,11 +130,25 @@ type traceEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// chromeDoc is the top-level trace-event JSON object.
-type chromeDoc struct {
-	TraceEvents     []traceEvent   `json:"traceEvents"`
+// ChromeDoc is the top-level trace-event JSON object. Both the pipeline
+// exporter here and the serve span exporter in internal/obs/log build
+// one and write it with WriteChromeDoc, so ValidateChromeTrace covers
+// both.
+type ChromeDoc struct {
+	TraceEvents     []TraceEvent   `json:"traceEvents"`
 	DisplayTimeUnit string         `json:"displayTimeUnit"`
 	OtherData       map[string]any `json:"otherData"`
+}
+
+// WriteChromeDoc writes doc as indented JSON plus a trailing newline.
+func WriteChromeDoc(w io.Writer, doc ChromeDoc) error {
+	b, err := json.MarshalIndent(doc, "", " ")
+	if err != nil {
+		return fmt.Errorf("obs: encoding chrome trace: %w", err)
+	}
+	b = append(b, '\n')
+	_, err = w.Write(b)
+	return err
 }
 
 // instSlices pairs up per-instruction events for the slice view.
@@ -197,13 +211,13 @@ func WriteChromeTrace(w io.Writer, man Manifest, events []Event, name func(pc in
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 
-	doc := chromeDoc{
+	doc := ChromeDoc{
 		DisplayTimeUnit: "ms",
 		OtherData: map[string]any{
 			"manifest":   man,
 			"clock_note": "1 trace tick (us) = 1 simulated cycle",
 		},
-		TraceEvents: []traceEvent{{
+		TraceEvents: []TraceEvent{{
 			Name: "process_name", Ph: "M", Pid: 0,
 			Args: map[string]any{"name": "ultrascalar"},
 		}},
@@ -215,9 +229,9 @@ func WriteChromeTrace(w io.Writer, man Manifest, events []Event, name func(pc in
 	sort.Slice(sortedSlots, func(i, j int) bool { return sortedSlots[i] < sortedSlots[j] })
 	for _, s := range sortedSlots {
 		doc.TraceEvents = append(doc.TraceEvents,
-			traceEvent{Name: "thread_name", Ph: "M", Pid: 0, Tid: s,
+			TraceEvent{Name: "thread_name", Ph: "M", Pid: 0, Tid: s,
 				Args: map[string]any{"name": fmt.Sprintf("station %d", s)}},
-			traceEvent{Name: "thread_sort_index", Ph: "M", Pid: 0, Tid: s,
+			TraceEvent{Name: "thread_sort_index", Ph: "M", Pid: 0, Tid: s,
 				Args: map[string]any{"sort_index": s}})
 	}
 
@@ -244,7 +258,7 @@ func WriteChromeTrace(w io.Writer, man Manifest, events []Event, name func(pc in
 		if len(sl.dists) > 0 {
 			args["src_dist"] = sl.dists
 		}
-		doc.TraceEvents = append(doc.TraceEvents, traceEvent{
+		doc.TraceEvents = append(doc.TraceEvents, TraceEvent{
 			Name: name(sl.pc), Ph: "X", Ts: start, Dur: end - start,
 			Pid: 0, Tid: sl.slot, Args: args,
 		})
@@ -252,7 +266,7 @@ func WriteChromeTrace(w io.Writer, man Manifest, events []Event, name func(pc in
 	for _, ev := range events {
 		switch ev.Kind {
 		case EvSquash:
-			doc.TraceEvents = append(doc.TraceEvents, traceEvent{
+			doc.TraceEvents = append(doc.TraceEvents, TraceEvent{
 				Name: "squash", Ph: "i", Ts: ev.Cycle, Pid: 0, Tid: ev.Slot, S: "t",
 				Args: map[string]any{"seq": ev.Seq, "pc": ev.PC, "by_pc": ev.Arg},
 			})
@@ -260,20 +274,14 @@ func WriteChromeTrace(w io.Writer, man Manifest, events []Event, name func(pc in
 			// Fault lifecycle shows up as process-scoped instants so a
 			// campaign trace makes the inject → detect → recover story
 			// visible at a glance.
-			doc.TraceEvents = append(doc.TraceEvents, traceEvent{
+			doc.TraceEvents = append(doc.TraceEvents, TraceEvent{
 				Name: ev.Kind.String(), Ph: "i", Ts: ev.Cycle, Pid: 0, Tid: ev.Slot, S: "p",
 				Args: map[string]any{"seq": ev.Seq, "pc": ev.PC, "arg": ev.Arg},
 			})
 		}
 	}
 
-	b, err := json.MarshalIndent(doc, "", " ")
-	if err != nil {
-		return fmt.Errorf("obs: encoding chrome trace: %w", err)
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
+	return WriteChromeDoc(w, doc)
 }
 
 // ValidateChromeTrace checks data against the trace-event format

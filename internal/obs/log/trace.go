@@ -16,8 +16,6 @@ package obslog
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -271,36 +269,20 @@ func (r *SpanRecorder) Dropped() int64 {
 
 // Chrome trace-event export: each trace renders as one thread of a
 // "jobs" process (tid assigned by first appearance in the sorted event
-// order), spans as complete ("X") slices. The JSON shape matches
-// internal/obs's exporter, so obs.ValidateChromeTrace accepts it and
-// Perfetto loads it.
-
-type chromeSpanEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   int64          `json:"ts"`
-	Dur  int64          `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int32          `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type chromeSpanDoc struct {
-	TraceEvents     []chromeSpanEvent `json:"traceEvents"`
-	DisplayTimeUnit string            `json:"displayTimeUnit"`
-	OtherData       map[string]any    `json:"otherData"`
-}
+// order), spans as complete ("X") slices. It writes the same
+// obs.ChromeDoc as the pipeline exporter, so obs.ValidateChromeTrace
+// accepts it and Perfetto loads it.
 
 // WriteChromeTrace writes the spans of one trace (or all traces when
 // trace is "") as Chrome trace-event JSON.
 func (r *SpanRecorder) WriteChromeTrace(w io.Writer, trace TraceID) error {
 	events := r.Events(trace)
-	doc := chromeSpanDoc{
+	doc := obs.ChromeDoc{
 		DisplayTimeUnit: "ms",
 		OtherData: map[string]any{
 			"clock_note": "1 trace tick = 1 microsecond of wall time since the recorder epoch",
 		},
-		TraceEvents: []chromeSpanEvent{{
+		TraceEvents: []obs.TraceEvent{{
 			Name: "process_name", Ph: "M", Pid: 0,
 			Args: map[string]any{"name": "ultrascalar jobs"},
 		}},
@@ -313,9 +295,9 @@ func (r *SpanRecorder) WriteChromeTrace(w io.Writer, trace TraceID) error {
 		tid := int32(len(tids))
 		tids[ev.Trace] = tid
 		doc.TraceEvents = append(doc.TraceEvents,
-			chromeSpanEvent{Name: "thread_name", Ph: "M", Pid: 0, Tid: tid,
+			obs.TraceEvent{Name: "thread_name", Ph: "M", Pid: 0, Tid: tid,
 				Args: map[string]any{"name": "trace " + string(ev.Trace)}},
-			chromeSpanEvent{Name: "thread_sort_index", Ph: "M", Pid: 0, Tid: tid,
+			obs.TraceEvent{Name: "thread_sort_index", Ph: "M", Pid: 0, Tid: tid,
 				Args: map[string]any{"sort_index": tid}})
 	}
 	for _, ev := range events {
@@ -323,16 +305,10 @@ func (r *SpanRecorder) WriteChromeTrace(w io.Writer, trace TraceID) error {
 		if ev.Detail != "" {
 			args["detail"] = ev.Detail
 		}
-		doc.TraceEvents = append(doc.TraceEvents, chromeSpanEvent{
+		doc.TraceEvents = append(doc.TraceEvents, obs.TraceEvent{
 			Name: ev.Name, Ph: "X", Ts: ev.StartUS, Dur: ev.DurUS,
 			Pid: 0, Tid: tids[ev.Trace], Args: args,
 		})
 	}
-	b, err := json.MarshalIndent(doc, "", " ")
-	if err != nil {
-		return fmt.Errorf("obslog: encoding chrome trace: %w", err)
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
+	return obs.WriteChromeDoc(w, doc)
 }
