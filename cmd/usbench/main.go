@@ -205,11 +205,12 @@ func main() {
 	}
 
 	ws := workload.Kernels()
-	for _, arch := range []struct {
-		name string
-		g    int
-	}{{"ultra1", 1}, {"hybrid", 32}, {"ultra2", 256}} {
-		r, err := benchEngine(ctx, arch.name, core.Config{Window: 256, Granularity: arch.g}, ws, *dur)
+	for _, arch := range []string{"ultra1", "hybrid", "ultra2"} {
+		cfg, err := exp.ArchConfig(arch, 256, 32)
+		if err != nil {
+			fatal(err)
+		}
+		r, err := benchEngine(ctx, arch, cfg, ws, *dur)
 		if err != nil {
 			fatal(err)
 		}

@@ -30,6 +30,7 @@ import (
 
 	"ultrascalar"
 	"ultrascalar/internal/core"
+	"ultrascalar/internal/exp"
 	"ultrascalar/internal/obs"
 	"ultrascalar/internal/workload"
 )
@@ -141,22 +142,16 @@ func cmdRecord(args []string) error {
 	}
 
 	// Build the configuration.
-	var g int
-	switch *arch {
-	case "ultra1":
-		g = 1
-	case "ultra2":
-		g = *n
-	case "hybrid":
-		g = *c
-		if g == 0 {
-			g = min(32, *n)
-		}
-	default:
+	cluster := *c
+	if cluster == 0 {
+		cluster = min(32, *n)
+	}
+	cfg, err := exp.ArchConfig(*arch, *n, cluster)
+	if err != nil {
 		return fmt.Errorf("unknown architecture %q", *arch)
 	}
-	if *n < 1 || *n%g != 0 {
-		return fmt.Errorf("cluster size %d must divide window %d", g, *n)
+	if *n < 1 || *n%cfg.Granularity != 0 {
+		return fmt.Errorf("cluster size %d must divide window %d", cfg.Granularity, *n)
 	}
 	var tr *obs.Tracer
 	if *ring {
@@ -164,7 +159,7 @@ func cmdRecord(args []string) error {
 	} else {
 		tr = obs.NewTracer(*capacity)
 	}
-	cfg := core.Config{Window: *n, Granularity: g, NumRegs: *regs, Tracer: tr}
+	cfg.NumRegs, cfg.Tracer = *regs, tr
 	var reg *obs.Registry
 	if *metricsOut != "" {
 		reg = obs.NewRegistry()
@@ -184,7 +179,7 @@ func cmdRecord(args []string) error {
 	}
 
 	man := obs.NewManifest("ustrace")
-	man.Config = fmt.Sprintf("arch=%s n=%d c=%d regs=%d prog=%s", *arch, *n, g, *regs, progName)
+	man.Config = fmt.Sprintf("arch=%s n=%d c=%d regs=%d prog=%s", *arch, *n, cfg.Granularity, *regs, progName)
 	man.Prog = strings.Split(strings.TrimRight(ultrascalar.Disassemble(prog), "\n"), "\n")
 
 	path := *out

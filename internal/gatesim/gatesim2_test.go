@@ -3,10 +3,10 @@ package gatesim
 import (
 	"testing"
 
+	"ultrascalar/internal/core"
 	"ultrascalar/internal/isa"
 	"ultrascalar/internal/memory"
 	"ultrascalar/internal/ref"
-	"ultrascalar/internal/ultra1"
 	"ultrascalar/internal/workload"
 )
 
@@ -113,8 +113,8 @@ func TestUltra2SlowerThanUltra1Gates(t *testing.T) {
 	if u2.Cycles < u1.Cycles {
 		t.Errorf("gate-level UltraII (%d cycles) should not beat UltraI (%d)", u2.Cycles, u1.Cycles)
 	}
-	// Check against the functional ultra1 package too, for reference.
-	if _, err := ultra1.Run(w.Prog, w.Mem(), 4); err != nil {
+	// Check against the functional engine's Ultrascalar I too, for reference.
+	if _, err := core.Run(w.Prog, w.Mem(), core.Config{Window: 4, Granularity: 1}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,15 +4,16 @@ import (
 	"fmt"
 	"testing"
 
+	"ultrascalar/internal/core"
 	"ultrascalar/internal/workload"
 )
 
 // BenchmarkRun measures the Ultrascalar I configuration — per-station
-// refill, the paper's ring — through this package's entry point across
-// window sizes, reporting ns per simulated cycle. Scaling the window is
-// the point of the paper, so the per-cycle cost of the SoA bitmap engine
-// must stay near-flat as n grows (the word-at-a-time scans touch only
-// live spans and wakeups, not the whole window).
+// refill, the paper's ring — through core.Run across window sizes,
+// reporting ns per simulated cycle. Scaling the window is the point of
+// the paper, so the per-cycle cost of the SoA bitmap engine must stay
+// near-flat as n grows (the word-at-a-time scans touch only live spans
+// and wakeups, not the whole window).
 func BenchmarkRun(b *testing.B) {
 	for _, n := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -21,7 +22,7 @@ func BenchmarkRun(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				w := ws[i%len(ws)]
-				res, err := Run(w.Prog, w.Mem(), n)
+				res, err := core.Run(w.Prog, w.Mem(), config(b, n))
 				if err != nil {
 					b.Fatal(err)
 				}

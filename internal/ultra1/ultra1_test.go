@@ -4,13 +4,23 @@ import (
 	"testing"
 
 	"ultrascalar/internal/core"
+	"ultrascalar/internal/exp"
 	"ultrascalar/internal/fault"
-
 	"ultrascalar/internal/memory"
 	"ultrascalar/internal/ref"
 	"ultrascalar/internal/vlsi"
 	"ultrascalar/internal/workload"
 )
+
+// config returns exp.ArchConfig's Ultrascalar I configuration at window n.
+func config(t testing.TB, n int) core.Config {
+	t.Helper()
+	cfg, err := exp.ArchConfig("ultra1", n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
 
 func TestRunMatchesGolden(t *testing.T) {
 	w := workload.Fib(15)
@@ -18,7 +28,7 @@ func TestRunMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(w.Prog, w.Mem(), 16)
+	got, err := core.Run(w.Prog, w.Mem(), config(t, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,23 +37,25 @@ func TestRunMatchesGolden(t *testing.T) {
 	}
 }
 
+// TestEngineConfig: the Ultrascalar I refills per station whatever
+// cluster size is passed.
 func TestEngineConfig(t *testing.T) {
-	cfg := EngineConfig(32)
+	cfg, err := exp.ArchConfig("ultra1", 32, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cfg.Window != 32 || cfg.Granularity != 1 {
 		t.Errorf("config %+v, want window 32 granularity 1", cfg)
 	}
 }
 
 func TestModel(t *testing.T) {
-	md, err := Model(64, 32, 32, memory.MConst(1), vlsi.Tech035())
+	md, err := vlsi.UltraIModel(64, 32, 32, memory.MConst(1), vlsi.Tech035(), vlsi.UltraIOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if md.N != 64 || md.GateDelay <= 0 || md.AreaL2() <= 0 {
 		t.Errorf("bad model %+v", md)
-	}
-	if Name == "" {
-		t.Error("name empty")
 	}
 }
 
@@ -62,7 +74,7 @@ func TestFaultRecovery(t *testing.T) {
 			Window: 16, NumRegs: 32, MaxCycle: 120, N: 3,
 		})
 		var log fault.Log
-		cfg := EngineConfig(16)
+		cfg := config(t, 16)
 		cfg.FaultPlan, cfg.FaultDetect, cfg.FaultLog = plan, fault.DetectGolden, &log
 		got, err := core.Run(w.Prog, w.Mem(), cfg)
 		if err != nil {

@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"testing"
 
+	"ultrascalar/internal/core"
 	"ultrascalar/internal/workload"
 )
 
 // BenchmarkRun measures the Ultrascalar II configuration — whole-batch
-// refill, the paper's non-wrapping grid — through this package's entry
-// point across batch sizes, reporting ns per simulated cycle. Batch
+// refill, the paper's non-wrapping grid — through core.Run across batch
+// sizes, reporting ns per simulated cycle. Batch
 // refill retires in bursts, so this configuration leans hardest on the
 // engine's word-wise drain accounting (one popcount and one range clear
 // per freed batch).
@@ -21,7 +22,7 @@ func BenchmarkRun(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				w := ws[i%len(ws)]
-				res, err := Run(w.Prog, w.Mem(), n)
+				res, err := core.Run(w.Prog, w.Mem(), config(b, n))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -4,14 +4,23 @@ import (
 	"testing"
 
 	"ultrascalar/internal/core"
+	"ultrascalar/internal/exp"
 	"ultrascalar/internal/fault"
-
 	"ultrascalar/internal/memory"
 	"ultrascalar/internal/ref"
-	"ultrascalar/internal/ultra1"
 	"ultrascalar/internal/vlsi"
 	"ultrascalar/internal/workload"
 )
+
+// config returns exp.ArchConfig's Ultrascalar II configuration at window n.
+func config(t testing.TB, n int) core.Config {
+	t.Helper()
+	cfg, err := exp.ArchConfig("ultra2", n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
 
 func TestRunMatchesGolden(t *testing.T) {
 	w := workload.GCD(1071, 462)
@@ -19,7 +28,7 @@ func TestRunMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(w.Prog, w.Mem(), 16)
+	got, err := core.Run(w.Prog, w.Mem(), config(t, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,11 +41,15 @@ func TestBatchSlowerThanRing(t *testing.T) {
 	// Section 4: the Ultrascalar II "is less efficient than the
 	// Ultrascalar I because its datapath does not wrap around."
 	w := workload.DotProduct(40)
-	u2, err := Run(w.Prog, w.Mem(), 16)
+	u2, err := core.Run(w.Prog, w.Mem(), config(t, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	u1, err := ultra1.Run(w.Prog, w.Mem(), 16)
+	ring, err := exp.ArchConfig("ultra1", 16, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u1, err := core.Run(w.Prog, w.Mem(), ring)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,8 +58,13 @@ func TestBatchSlowerThanRing(t *testing.T) {
 	}
 }
 
+// TestEngineConfig: the Ultrascalar II refills the whole batch whatever
+// cluster size is passed.
 func TestEngineConfig(t *testing.T) {
-	cfg := EngineConfig(32)
+	cfg, err := exp.ArchConfig("ultra2", 32, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cfg.Window != 32 || cfg.Granularity != 32 {
 		t.Errorf("config %+v, want window 32 granularity 32", cfg)
 	}
@@ -54,16 +72,13 @@ func TestEngineConfig(t *testing.T) {
 
 func TestModelModes(t *testing.T) {
 	for _, mode := range []vlsi.Ultra2Mode{vlsi.Ultra2Linear, vlsi.Ultra2Tree, vlsi.Ultra2Mixed} {
-		md, err := Model(32, 32, 32, memory.MConst(1), vlsi.Tech035(), mode)
+		md, err := vlsi.Ultra2Model(32, 32, 32, memory.MConst(1), vlsi.Tech035(), mode)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if md.GateDelay <= 0 || md.AreaL2() <= 0 {
 			t.Errorf("mode %v: bad model", mode)
 		}
-	}
-	if Name == "" {
-		t.Error("name empty")
 	}
 }
 
@@ -83,7 +98,7 @@ func TestFaultRecovery(t *testing.T) {
 			Window: 16, NumRegs: 32, MaxCycle: 150, N: 3,
 		})
 		var log fault.Log
-		cfg := EngineConfig(16)
+		cfg := config(t, 16)
 		cfg.FaultPlan, cfg.FaultDetect, cfg.FaultLog = plan, fault.DetectGolden, &log
 		got, err := core.Run(w.Prog, w.Mem(), cfg)
 		if err != nil {

@@ -36,13 +36,10 @@ import (
 	"ultrascalar/internal/core"
 	"ultrascalar/internal/fault"
 	"ultrascalar/internal/gatesim"
-	"ultrascalar/internal/hybrid"
 	"ultrascalar/internal/isa"
 	"ultrascalar/internal/memory"
 	"ultrascalar/internal/obs"
 	"ultrascalar/internal/ref"
-	"ultrascalar/internal/ultra1"
-	"ultrascalar/internal/ultra2"
 	"ultrascalar/internal/vlsi"
 	"ultrascalar/internal/workload"
 )
@@ -148,11 +145,11 @@ const (
 func (a Arch) String() string {
 	switch a {
 	case UltraI:
-		return ultra1.Name
+		return "Ultrascalar I"
 	case UltraII:
-		return ultra2.Name
+		return "Ultrascalar II"
 	case Hybrid:
-		return hybrid.Name
+		return "Hybrid Ultrascalar"
 	default:
 		return fmt.Sprintf("arch(%d)", int(a))
 	}
@@ -572,14 +569,14 @@ func (p *Processor) RunCtx(ctx context.Context, prog []Inst, mem *Memory) (*RunR
 func (p *Processor) Physical(t Tech) (*PhysicalModel, error) {
 	switch p.arch {
 	case UltraI:
-		return ultra1.Model(p.n, p.l, p.w, p.m, t)
+		return vlsi.UltraIModel(p.n, p.l, p.w, p.m, t, vlsi.UltraIOptions{})
 	case UltraII:
 		if p.wrap {
 			return vlsi.Ultra2WrapModel(p.n, p.l, p.w, p.m, t, p.mode)
 		}
-		return ultra2.Model(p.n, p.l, p.w, p.m, t, p.mode)
+		return vlsi.Ultra2Model(p.n, p.l, p.w, p.m, t, p.mode)
 	default:
-		return hybrid.Model(p.n, p.c, p.l, p.w, p.m, t)
+		return vlsi.HybridModel(p.n, p.c, p.l, p.w, p.m, t, vlsi.Ultra2Linear)
 	}
 }
 
